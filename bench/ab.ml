@@ -76,7 +76,7 @@ let check_iteration ?max_minor_words_per_iter v j =
         "iteration: no alloc.max_minor_words_per_iter recorded but a cap \
          was required"));
   (match get_float [ "alloc"; "min_alloc_ratio" ] j with
-  | Some r -> note v "iteration: boxed/SoA allocation reduction >= x%.1f" r
+  | Some r -> note v "iteration: reference/SoA allocation reduction >= x%.1f" r
   | None -> ());
   each_group j ~list_field:"groups" (fun g ->
       let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] g) in
@@ -87,8 +87,8 @@ let check_iteration ?max_minor_words_per_iter v j =
       | _ -> ());
       if get_bool [ "identical" ] g = Some false then
         fail v
-          "iteration: %d-task group incremental engine differs from the \
-           from-scratch oracle"
+          "iteration: %d-task group arena kernel differs from the \
+           reference pipeline"
           tasks);
   if get_bool [ "all_identical" ] j <> Some true then
     fail v "iteration: all_identical is not true";

@@ -34,6 +34,7 @@ module Sw_balance = Resched_core.Sw_balance
 module Sw_map = Resched_core.Sw_map
 module Reconf_sched = Resched_core.Reconf_sched
 module Timing = Resched_core.Timing
+module Reference = Resched_reference.Reference
 module Isk = Resched_baseline.Isk
 module List_sched = Resched_baseline.List_sched
 module Repair = Resched_core.Repair
@@ -697,7 +698,7 @@ let parallel_comparison () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Iteration throughput: incremental engine vs from-scratch oracle     *)
+(* Iteration throughput: arena restart kernel vs reference pipeline    *)
 
 type iter_row = {
   ir_tasks : int;
@@ -711,13 +712,13 @@ type iter_row = {
   ir_sub_hits : int;
   ir_misses : int;
   ir_mw_new : float;  (* minor words / iteration, SoA kernel *)
-  ir_mw_old : float;  (* minor words / iteration, boxed oracle *)
+  ir_mw_old : float;  (* minor words / iteration, reference pipeline *)
 }
 
 let words_per_iter (o : Pa_random.outcome) =
   o.Pa_random.minor_words /. float_of_int (Stdlib.max 1 o.Pa_random.iterations)
 
-(* Everything that must coincide between the two engines for a fixed
+(* Everything that must coincide between the two pipelines for a fixed
    (seed, min_iterations, budget = 0) run — elapsed times excluded. *)
 let iter_fingerprint (o : Pa_random.outcome) =
   ( o.Pa_random.iterations,
@@ -732,8 +733,8 @@ let iter_fingerprint (o : Pa_random.outcome) =
 let iteration_comparison () =
   print_endline "";
   Printf.printf
-    "== Restart iteration throughput: incremental solver + context arena \
-     vs from-scratch (jobs=1, %d iterations each, budget 0) ==\n"
+    "== Restart iteration throughput: arena restart kernel vs reference \
+     pipeline (jobs=1, %d iterations each, budget 0) ==\n"
     iter_min;
   let t =
     Table.create
@@ -748,29 +749,28 @@ let iteration_comparison () =
         | [ inst ] ->
           let s = seed + (13 * tasks) in
           (* One floorplan cache per group, shared between the two runs:
-             both engines emit bit-identical candidate streams, so the
+             both pipelines emit bit-identical candidate streams, so the
              second run's floorplan checks replay the first run's keys.
-             The incremental engine runs FIRST so it is the one paying
-             the cold misses — the measured speedup is conservative. *)
+             The arena kernel runs FIRST so it is the one paying the
+             cold misses — the measured speedup is conservative. *)
           let cache = Fp_cache.create () in
-          let run incremental =
-            timed (fun () ->
-                Pa_random.run ~seed:s ~min_iterations:iter_min ~cache
-                  ~incremental ~budget_seconds:0. inst)
+          let run_new ~cache ~min_iterations =
+            Pa_random.run ~seed:s ~min_iterations ~cache ~budget_seconds:0.
+              inst
+          and run_old ~cache ~min_iterations =
+            Reference.run_random ~seed:s ~min_iterations ~cache inst
           in
-          (* Untimed warm-up (throwaway cache) so neither engine pays the
+          (* Untimed warm-up (throwaway cache) so neither side pays the
              allocator's first-touch growth inside its timed window. *)
           let warm = Stdlib.min 10 iter_min in
-          ignore
-            (Pa_random.run ~seed:s ~min_iterations:warm
-               ~cache:(Fp_cache.create ()) ~incremental:true
-               ~budget_seconds:0. inst);
-          ignore
-            (Pa_random.run ~seed:s ~min_iterations:warm
-               ~cache:(Fp_cache.create ()) ~incremental:false
-               ~budget_seconds:0. inst);
-          let new_o, s_new = run true in
-          let old_o, s_old = run false in
+          ignore (run_new ~cache:(Fp_cache.create ()) ~min_iterations:warm);
+          ignore (run_old ~cache:(Fp_cache.create ()) ~min_iterations:warm);
+          let new_o, s_new =
+            timed (fun () -> run_new ~cache ~min_iterations:iter_min)
+          in
+          let old_o, s_old =
+            timed (fun () -> run_old ~cache ~min_iterations:iter_min)
+          in
           let makespan_of label (o : Pa_random.outcome) =
             match o.Pa_random.schedule with
             | Some sched ->
@@ -778,8 +778,8 @@ let iteration_comparison () =
               Schedule.makespan sched
             | None -> -1
           in
-          let ms_new = makespan_of "PA-R incremental" new_o in
-          let ms_old = makespan_of "PA-R from-scratch" old_o in
+          let ms_new = makespan_of "PA-R arena kernel" new_o in
+          let ms_old = makespan_of "PA-R reference pipeline" old_o in
           let identical = iter_fingerprint new_o = iter_fingerprint old_o in
           let st = Fp_cache.stats cache in
           let row =
@@ -843,12 +843,12 @@ let iteration_comparison () =
         | [ inst ] ->
           let cache = Fp_cache.create () in
           let s = seed + (13 * tasks) in
-          List.iter
-            (fun incremental ->
-              ignore
-                (Pa_random.run ~seed:s ~min_iterations:iter_min ~cache
-                   ~incremental ~budget_seconds:0. inst))
-            [ true; false ];
+          ignore
+            (Pa_random.run ~seed:s ~min_iterations:iter_min ~cache
+               ~budget_seconds:0. inst);
+          ignore
+            (Reference.run_random ~seed:s ~min_iterations:iter_min ~cache
+               inst);
           (tasks, Fp_cache.stats cache)
         | _ -> assert false)
       groups
@@ -3232,7 +3232,7 @@ let bechamel_suite () =
     Array.init (Instance.size inst100) (fun u -> Instance.min_time inst100 u)
   in
   (* A state shaped by the real pipeline, frozen after step 7's input is
-     ready: the from-scratch [Timing.resolve] and the incremental
+     ready: the reference's from-scratch resolve and the incremental
      [Timing.Solver] replay the same augmented graph and sequence. *)
   let timing_state =
     let impl_of =
@@ -3244,8 +3244,13 @@ let bechamel_suite () =
     Sw_map.run st;
     st
   in
-  let specs, sequence = Reconf_sched.run timing_state in
-  let solver = Timing.Solver.create timing_state ~reconfigs:specs in
+  let specs, sequence = Reference.reconf_sched timing_state in
+  let solver =
+    Timing.Solver.of_plan ~graph:timing_state.State.dep
+      ~durations:
+        (Array.init (Instance.size inst100) (State.duration timing_state))
+      ~reconfigs:specs
+  in
   let ctx100 = Pa.Context.create inst100 in
   let tests =
     [
@@ -3272,13 +3277,13 @@ let bechamel_suite () =
       Test.make ~name:"iteration/timing_resolve_scratch_100"
         (Staged.stage (fun () ->
              ignore
-               (Timing.resolve timing_state ~reconfigs:specs ~sequence)));
+               (Reference.resolve timing_state ~reconfigs:specs ~sequence)));
       Test.make ~name:"iteration/timing_solver_resolve_100"
         (Staged.stage (fun () ->
              ignore (Timing.Solver.resolve solver ~sequence)));
       Test.make ~name:"iteration/schedule_once_scratch_100"
         (Staged.stage (fun () ->
-             ignore (Pa.schedule_once ~incremental:false inst100)));
+             ignore (Reference.schedule_once inst100)));
       Test.make ~name:"iteration/schedule_once_ctx_100"
         (Staged.stage (fun () -> ignore (Pa.schedule_once ~ctx:ctx100 inst100)));
       Test.make ~name:"substrate/simplex_textbook"

@@ -674,8 +674,8 @@ let parse_manifest path ~seed ~min_iterations ~budget_ms =
     lines;
   Array.of_list (List.rev !entries)
 
-let batch manifest seed min_iterations budget_ms jobs slice kernel out_dir
-    stats_out =
+let batch manifest seed min_iterations budget_ms jobs slice out_dir stats_out
+    =
   let module Batch = Resched_core.Batch in
   let module Json = Resched_util.Json in
   let entries = parse_manifest manifest ~seed ~min_iterations ~budget_ms in
@@ -684,9 +684,7 @@ let batch manifest seed min_iterations budget_ms jobs slice kernel out_dir
   (* Verdict-transparent cache: per-instance results stay independent of
      how the batch's slices happened to interleave. *)
   let cache = Resched_floorplan.Fp_cache.create ~subsumption:false () in
-  let outcomes, stats =
-    Batch.run ~cache ~kernel ~jobs ?slice requests
-  in
+  let outcomes, stats = Batch.run ~cache ~jobs ?slice requests in
   (match out_dir with
   | Some dir ->
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -800,25 +798,6 @@ let batch_cmd =
     in
     Arg.(value & opt (some int) None & info [ "slice" ] ~docv:"N" ~doc)
   in
-  let kernel =
-    let kernel_conv =
-      let parse = function
-        | "soa" -> Ok `Soa
-        | "boxed" -> Ok `Boxed
-        | s -> Error (`Msg (Printf.sprintf "unknown kernel %S" s))
-      in
-      Arg.conv
-        ( parse,
-          fun ppf k ->
-            Format.pp_print_string ppf
-              (match k with `Soa -> "soa" | `Boxed -> "boxed") )
-    in
-    let doc =
-      "Restart kernel: soa (struct-of-arrays arenas) or boxed (the \
-       allocation-heavy oracle; bit-identical results)."
-    in
-    Arg.(value & opt kernel_conv `Soa & info [ "kernel" ] ~docv:"KERNEL" ~doc)
-  in
   let out_dir =
     let doc = "Write each instance's best schedule under DIR." in
     Arg.(value & opt (some string) None & info [ "out-dir" ] ~docv:"DIR" ~doc)
@@ -835,7 +814,7 @@ let batch_cmd =
     Term.(
       const (fun () -> batch)
       $ verbose_arg $ manifest $ seed_arg $ min_iterations $ budget
-      $ jobs_arg $ slice $ kernel $ out_dir $ stats_out)
+      $ jobs_arg $ slice $ out_dir $ stats_out)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)

@@ -61,12 +61,10 @@ type stats = {
 }
 
 val run : ?config:Pa.config -> ?cache:Resched_floorplan.Fp_cache.t ->
-  ?incremental:bool -> ?kernel:Pa_random.kernel -> ?jobs:int ->
-  ?pool:Resched_util.Domain_pool.Pool.t -> ?slice:int ->
+  ?jobs:int -> ?pool:Resched_util.Domain_pool.Pool.t -> ?slice:int ->
   request array -> Pa_random.outcome array * stats
-(** Schedule every request; outcomes are in request order. [config],
-    [cache], [incremental] and [kernel] apply to all courses (see
-    {!Pa_random.run}). [jobs] defaults to the pool's width when [pool]
+(** Schedule every request; outcomes are in request order. [config] and
+    [cache] apply to all courses (see {!Pa_random.run}). [jobs] defaults to the pool's width when [pool]
     is given (both with different values is an error), else to
     {!Resched_util.Domain_pool.available_cores}. [slice] (default:
     derived from the total requested iterations, at most 32) bounds how

@@ -75,7 +75,7 @@ module Context = struct
     | None ->
       let s =
         State.create ctx.c_inst ~resource_scale ~cost:e.e_cost
-          ~base_cpm:e.e_base_cpm ~scratch:true ~impl_of:e.e_impl_of ()
+          ~base_cpm:e.e_base_cpm ~impl_of:e.e_impl_of ()
       in
       e.e_state <- Some s;
       s
@@ -108,25 +108,57 @@ type stats = {
   floorplanning_seconds : float;
 }
 
+let count_hw state =
+  let n = Instance.size state.State.inst in
+  let acc = ref 0 in
+  for u = 0 to n - 1 do
+    if State.is_hw state u then incr acc
+  done;
+  !acc
+
+type candidate = {
+  cd_state : State.t;
+  cd_plan : Reconf_sched.plan;
+  cd_module_reuse : bool;
+  cd_resource_scale : float;
+}
+
+let schedule_candidate ?(config = default_config) ?(resource_scale = 1.0)
+    ~ctx inst =
+  if not (inst == ctx.Context.c_inst) then
+    invalid_arg "Pa.schedule_candidate: context belongs to another instance";
+  let state = Context.state ctx ~resource_scale in
+  Regions_define.run ~module_reuse:config.module_reuse
+    ~ordering:config.ordering state;
+  Sw_balance.run state;
+  Sw_map.run state;
+  let plan =
+    Reconf_sched.run_hot ~module_reuse:config.module_reuse
+      ctx.Context.c_arena state
+  in
+  {
+    cd_state = state;
+    cd_plan = plan;
+    cd_module_reuse = config.module_reuse;
+    cd_resource_scale = resource_scale;
+  }
+
+let candidate_makespan c =
+  c.cd_plan.Reconf_sched.p_times.Timing.makespan
+
+let candidate_needs c =
+  let state = c.cd_state in
+  Array.init (State.region_count state) (fun i ->
+      (State.nth_region state i).State.res)
+
 (* Region tasks ordered by resolved start: a stable insertion sort
-   ({!Resched_util.Sort}) over a borrowed (or, for plain states, local)
-   scratch array replaces the old per-region [List.sort] — same order
-   (the stdlib's [List.sort] is the stable merge sort), no per-call sort
-   allocations beyond the result list the [Schedule.region] needs
-   anyway. *)
+   ({!Resched_util.Sort}) over the state's scratch array — free once the
+   pipeline is done — gives [List.stable_sort]'s order without per-call
+   sort allocations beyond the result list. *)
 let ordered_tasks state (task_start : int array) (r : State.region) =
   let k = List.length r.State.tasks in
-  let arr =
-    match State.scratch_of state with
-    | Some s when k > 0 -> State.sc_tasks s (* free: the pipeline is done *)
-    | _ -> Array.make (Stdlib.max 1 k) 0
-  in
-  let i = ref 0 in
-  List.iter
-    (fun u ->
-      arr.(!i) <- u;
-      incr i)
-    r.State.tasks;
+  let arr = State.sc_tasks (State.scratch_of state) in
+  List.iteri (fun i u -> arr.(i) <- u) r.State.tasks;
   Resched_util.Sort.by_int_key arr ~base:0 ~len:k ~key:(fun v ->
       task_start.(v));
   let rec build i acc =
@@ -134,11 +166,10 @@ let ordered_tasks state (task_start : int array) (r : State.region) =
   in
   build (k - 1) []
 
-(* Schedule construction shared by the from-scratch path and the arena
-   path: everything comes from the state plus already-resolved times and
-   an explicit reconfiguration order. *)
-let build_schedule ~module_reuse ~resource_scale state specs
-    (times : Timing.resolved) ~seq_iter =
+let materialize c =
+  let state = c.cd_state and plan = c.cd_plan in
+  let specs = plan.Reconf_sched.p_specs in
+  let times = plan.Reconf_sched.p_times in
   let n = Instance.size state.State.inst in
   let slots =
     Array.init n (fun u ->
@@ -164,131 +195,42 @@ let build_schedule ~module_reuse ~resource_scale state specs
         })
       (State.region_list state)
   in
-  let reconfigurations =
-    seq_iter (fun k ->
-        let spec : Timing.reconf_spec = specs.(k) in
-        {
-          Schedule.region = spec.Timing.region_id;
-          t_in = spec.Timing.t_in;
-          t_out = spec.Timing.t_out;
-          r_start = times.Timing.rec_start.(k);
-          r_end = times.Timing.rec_end.(k);
-        })
+  let reconfiguration k =
+    let spec : Timing.reconf_spec = specs.(k) in
+    {
+      Schedule.region = spec.Timing.region_id;
+      t_in = spec.Timing.t_in;
+      t_out = spec.Timing.t_out;
+      r_start = times.Timing.rec_start.(k);
+      r_end = times.Timing.rec_end.(k);
+    }
+  in
+  let rec reconfigurations i acc =
+    if i < 0 then acc
+    else
+      reconfigurations (i - 1)
+        (reconfiguration plan.Reconf_sched.p_seq.(i) :: acc)
   in
   {
     Schedule.instance = state.State.inst;
     regions;
     slots;
-    reconfigurations;
+    reconfigurations = reconfigurations (plan.Reconf_sched.p_len - 1) [];
     makespan = times.Timing.makespan;
     floorplan = None;
-    module_reuse;
-    resource_scale;
+    module_reuse = c.cd_module_reuse;
+    resource_scale = c.cd_resource_scale;
   }
 
-let schedule_of_state ?(module_reuse = false) ?(resource_scale = 1.0) state
-    specs sequence =
-  let resolved = Timing.resolve state ~reconfigs:specs ~sequence in
-  build_schedule ~module_reuse ~resource_scale state specs resolved
-    ~seq_iter:(fun f -> List.map f sequence)
-
-let count_hw state =
-  let n = Instance.size state.State.inst in
-  let acc = ref 0 in
-  for u = 0 to n - 1 do
-    if State.is_hw state u then incr acc
-  done;
-  !acc
-
-type candidate = {
-  cd_state : State.t;
-  cd_plan : Reconf_sched.plan;
-  cd_module_reuse : bool;
-  cd_resource_scale : float;
-}
-
-let schedule_candidate ?(config = default_config) ?(resource_scale = 1.0)
-    ~ctx inst =
-  if not (inst == ctx.Context.c_inst) then
-    invalid_arg "Pa.schedule_candidate: context belongs to another instance";
-  let state = Context.state ctx ~resource_scale in
-  Regions_define.run ~module_reuse:config.module_reuse
-    ~ordering:config.ordering state;
-  Sw_balance.run state;
-  Sw_map.run ~incremental:true state;
-  let plan =
-    Reconf_sched.run_hot ~module_reuse:config.module_reuse
-      ctx.Context.c_arena state
-  in
-  {
-    cd_state = state;
-    cd_plan = plan;
-    cd_module_reuse = config.module_reuse;
-    cd_resource_scale = resource_scale;
-  }
-
-let candidate_makespan c =
-  c.cd_plan.Reconf_sched.p_times.Timing.makespan
-
-let candidate_needs c =
-  let state = c.cd_state in
-  Array.init (State.region_count state) (fun i ->
-      (State.nth_region state i).State.res)
-
-let materialize c =
-  let plan = c.cd_plan in
-  let specs = plan.Reconf_sched.p_specs in
-  let seq = plan.Reconf_sched.p_seq and len = plan.Reconf_sched.p_len in
-  build_schedule ~module_reuse:c.cd_module_reuse
-    ~resource_scale:c.cd_resource_scale c.cd_state specs
-    plan.Reconf_sched.p_times ~seq_iter:(fun f ->
-      let rec build i acc =
-        if i < 0 then acc else build (i - 1) (f seq.(i) :: acc)
-      in
-      build (len - 1) [])
-
-let schedule_once ?(config = default_config) ?(resource_scale = 1.0) ?ctx
-    ?(incremental = true) inst =
-  match ctx with
-  | Some ctx when incremental ->
-    (* The struct-of-arrays restart kernel: candidate + materialize.
-       Bit-identical to the boxed path below (property-tested). *)
-    materialize (schedule_candidate ~config ~resource_scale ~ctx inst)
-  | _ ->
-    let state =
-      match ctx with
-      | Some ctx -> Context.state ctx ~resource_scale
-      | None ->
-        let max_res =
-          Resched_fabric.Resource.scale (Arch.max_res inst.Instance.arch)
-            resource_scale
-        in
-        let cost = Cost.make inst ~max_res in
-        let impl_of = Impl_select.run ~cost inst ~max_res in
-        State.create inst ~resource_scale ~cost ~impl_of ()
-    in
-    Log.debug (fun m ->
-        m "step 1-2: %d/%d tasks start on hardware, unconstrained makespan %d"
-          (count_hw state) (Instance.size inst)
-          state.State.cpm.Resched_taskgraph.Cpm.makespan);
-    Regions_define.run ~module_reuse:config.module_reuse
-      ~ordering:config.ordering state;
-    Log.debug (fun m ->
-        m "step 3: %d regions defined, %d tasks still on hardware"
-          (State.region_count state)
-          (count_hw state));
-    Sw_balance.run state;
-    Log.debug (fun m ->
-        m "step 4: %d hardware tasks after balancing" (count_hw state));
-    Sw_map.run ~incremental state;
-    let specs, sequence =
-      Reconf_sched.run ~module_reuse:config.module_reuse ~incremental state
-    in
-    Log.debug (fun m ->
-        m "step 7: %d reconfigurations sequenced on the controller"
-          (Array.length specs));
-    schedule_of_state ~module_reuse:config.module_reuse ~resource_scale state
-      specs sequence
+let schedule_once ?config ?resource_scale ?ctx inst =
+  let ctx = match ctx with Some ctx -> ctx | None -> Context.create inst in
+  let c = schedule_candidate ?config ?resource_scale ~ctx inst in
+  Log.debug (fun m ->
+      m "steps 3-7: %d regions, %d/%d tasks on hardware, %d \
+         reconfigurations sequenced"
+        (State.region_count c.cd_state)
+        (count_hw c.cd_state) (Instance.size inst) c.cd_plan.Reconf_sched.p_len);
+  materialize c
 
 let all_software_schedule inst =
   let impl_of =
@@ -296,13 +238,20 @@ let all_software_schedule inst =
   in
   let state = State.create inst ~impl_of () in
   Sw_map.run state;
-  let sched = schedule_of_state state [||] [] in
+  (* No regions, so no reconfigurations: step 7 only resolves times. *)
+  let plan = Reconf_sched.run_hot (Reconf_sched.make_arena ()) state in
+  let sched =
+    materialize
+      { cd_state = state; cd_plan = plan; cd_module_reuse = false;
+        cd_resource_scale = 1.0 }
+  in
   { sched with Schedule.floorplan = Some [||] }
 
 let region_needs (sched : Schedule.t) =
   Array.map (fun (r : Schedule.region) -> r.Schedule.res) sched.Schedule.regions
 
 let run ?(config = default_config) ?ctx inst =
+  let ctx = match ctx with Some ctx -> ctx | None -> Context.create inst in
   let device = inst.Instance.arch.Arch.device in
   let sched_time = ref 0. and plan_time = ref 0. in
   let rec attempt k scale =
@@ -318,7 +267,7 @@ let run ?(config = default_config) ?ctx inst =
     end
     else begin
       let t0 = Unix.gettimeofday () in
-      let sched = schedule_once ~config ~resource_scale:scale ?ctx inst in
+      let sched = schedule_once ~config ~resource_scale:scale ~ctx inst in
       sched_time := !sched_time +. (Unix.gettimeofday () -. t0);
       let needs = region_needs sched in
       if Array.length needs = 0 then

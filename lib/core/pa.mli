@@ -78,22 +78,16 @@ val candidate_needs : candidate -> Resched_fabric.Resource.t array
     floorplan feasibility check consumes. *)
 
 val materialize : candidate -> Schedule.t
-(** The owning {!Schedule.t} — bit-identical to what {!schedule_once}
-    with the same configuration returns (property-tested). *)
+(** The owning {!Schedule.t} — what {!schedule_once} with the same
+    configuration returns. *)
 
 val schedule_once : ?config:config -> ?resource_scale:float ->
-  ?ctx:Context.t -> ?incremental:bool -> Resched_platform.Instance.t ->
-  Schedule.t
+  ?ctx:Context.t -> Resched_platform.Instance.t -> Schedule.t
 (** Steps 1-7 only (no floorplan check); [resource_scale] (default 1.0)
     virtually scales the FPGA resources. The result's [floorplan] is
-    [None]. Used by the randomized variant's inner loop and by tests.
-
-    [ctx] reuses the restart arena's memoized invariants and recycled
-    state (the returned schedule never aliases the arena, so it survives
-    later iterations); [incremental] (default [true]) selects the
-    incremental timing solver in step 7 ({!Reconf_sched.run}). Both
-    switches change wall-clock only — the produced schedule is
-    bit-identical to the from-scratch path (property-tested). *)
+    [None]. {!schedule_candidate} followed by {!materialize}, over [ctx]
+    or, when omitted, a transient context. The returned schedule never
+    aliases the arena, so it survives later iterations. *)
 
 val all_software_schedule : Resched_platform.Instance.t -> Schedule.t
 (** Every task on its fastest software implementation, mapped on the
@@ -103,5 +97,5 @@ val run : ?config:config -> ?ctx:Context.t ->
   Resched_platform.Instance.t -> Schedule.t * stats
 (** The full PA algorithm. The returned schedule always validates
     ({!Validate.check}) and carries a floorplan when it uses regions.
-    [ctx] shares a restart arena across the shrink attempts (and across
-    calls, when the caller keeps one). *)
+    One restart arena serves all the shrink attempts: [ctx] when given
+    (which also shares it across calls), else a transient one. *)

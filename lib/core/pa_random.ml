@@ -14,8 +14,6 @@ type outcome = {
   minor_words : float;
 }
 
-type kernel = [ `Soa | `Boxed ]
-
 (* ------------------------------------------------------------------ *)
 (* Shared search state                                                 *)
 
@@ -131,8 +129,6 @@ module Course = struct
     crs_inst : Instance.t;
     crs_config : Pa.config;
     crs_cache : Fp_cache.t option;
-    crs_incremental : bool;
-    crs_kernel : kernel;
     crs_rng : Rng.t;
     crs_shared : shared;
     crs_start : float;
@@ -147,15 +143,12 @@ module Course = struct
     mutable crs_done : bool;
   }
 
-  let make ?(config = Pa.default_config) ?cache ?(incremental = true)
-      ?(kernel = `Soa) ?cancel ~shared ~rng ~start ~min_iterations
-      ~budget_seconds inst =
+  let make ?(config = Pa.default_config) ?cache ?cancel ~shared ~rng ~start
+      ~min_iterations ~budget_seconds inst =
     {
       crs_inst = inst;
       crs_config = config;
       crs_cache = cache;
-      crs_incremental = incremental;
-      crs_kernel = kernel;
       crs_rng = rng;
       crs_shared = shared;
       crs_start = start;
@@ -178,18 +171,13 @@ module Course = struct
       crs_done = false;
     }
 
-  let create ?config ?cache ?incremental ?kernel ?start ?cancel ~seed
-      ~min_iterations ~budget_seconds inst =
+  let create ?config ?cache ?start ?cancel ~seed ~min_iterations
+      ~budget_seconds inst =
     let start =
       match start with Some s -> s | None -> Unix.gettimeofday ()
     in
-    make ?config ?cache ?incremental ?kernel ?cancel ~shared:(make_shared ())
+    make ?config ?cache ?cancel ~shared:(make_shared ())
       ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
-
-  (* Does this course run the struct-of-arrays kernel over a context
-     arena? [`Boxed] (and [incremental:false]) run the boxed oracle:
-     a fresh scratch-less state and a boxed schedule every iteration. *)
-  let uses_arena c = c.crs_incremental && c.crs_kernel = `Soa
 
   let iterate c ~ctx ~now =
     let config =
@@ -201,15 +189,22 @@ module Course = struct
     let scale = c.crs_lattice.(c.crs_shrink_exp) in
     let device = c.crs_inst.Instance.arch.Arch.device in
     let shared = c.crs_shared in
-    let improve ms ~needs ~materialize =
-      match check_feasible ~config ~cache:c.crs_cache device needs with
+    let cand =
+      Pa.schedule_candidate ~config ~resource_scale:scale ~ctx c.crs_inst
+    in
+    let ms = Pa.candidate_makespan cand in
+    if ms < Atomic.get shared.best_makespan then
+      match
+        check_feasible ~config ~cache:c.crs_cache device
+          (Pa.candidate_needs cand)
+      with
       | None ->
         c.crs_shrink_exp <- Stdlib.min max_shrink_exp (c.crs_shrink_exp + 1)
       | Some placements ->
         c.crs_shrink_exp <- Stdlib.max 0 (c.crs_shrink_exp - 1);
         if claim shared ms then begin
           publish shared
-            { (materialize ()) with Schedule.floorplan = Some placements };
+            { (Pa.materialize cand) with Schedule.floorplan = Some placements };
           c.crs_trace <-
             {
               elapsed = now -. c.crs_start;
@@ -218,29 +213,6 @@ module Course = struct
             }
             :: c.crs_trace
         end
-    in
-    match ctx with
-    | Some ctx ->
-      let cand =
-        Pa.schedule_candidate ~config ~resource_scale:scale ~ctx c.crs_inst
-      in
-      let ms = Pa.candidate_makespan cand in
-      if ms < Atomic.get shared.best_makespan then
-        improve ms ~needs:(Pa.candidate_needs cand) ~materialize:(fun () ->
-            Pa.materialize cand)
-    | None ->
-      let candidate =
-        Pa.schedule_once ~config ~resource_scale:scale
-          ~incremental:c.crs_incremental c.crs_inst
-      in
-      let ms = candidate.Schedule.makespan in
-      if ms < Atomic.get shared.best_makespan then
-        improve ms
-          ~needs:
-            (Array.map
-               (fun (r : Schedule.region) -> r.Schedule.res)
-               candidate.Schedule.regions)
-          ~materialize:(fun () -> candidate)
 
   let run_slice c ~max_iterations =
     (* Cooperative cancellation: polled once per slice, never inside the
@@ -263,7 +235,7 @@ module Course = struct
          per slice through the domain-local cache, so the stream can
          migrate between domains while each domain reuses warm
          arenas. *)
-      let ctx = if uses_arena c then Some (get_context c.crs_inst) else None in
+      let ctx = get_context c.crs_inst in
       let words0 = Gc.minor_words () in
       let executed = ref 0 in
       let running = ref true in
@@ -317,11 +289,11 @@ let exhaust (c : Course.t) =
 (* Entry points                                                        *)
 
 let run ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1) ?cache
-    ?(incremental = true) ?kernel ~budget_seconds inst =
+    ~budget_seconds inst =
   let start = Unix.gettimeofday () in
   let shared = make_shared () in
   let course =
-    Course.make ~config ?cache ~incremental ?kernel ~shared
+    Course.make ~config ?cache ~shared
       ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
   in
   let r = exhaust course in
@@ -350,7 +322,7 @@ let merge_traces results =
   List.rev rev
 
 let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
-    ?jobs ?pool ?cache ?(incremental = true) ?kernel ~budget_seconds inst =
+    ?jobs ?pool ?cache ~budget_seconds inst =
   let jobs =
     match (pool, jobs) with
     | Some p, Some j ->
@@ -367,8 +339,7 @@ let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
     | None, None -> Domain_pool.available_cores ()
   in
   if jobs = 1 then
-    run ~config ~seed ~min_iterations ?cache ~incremental ?kernel
-      ~budget_seconds inst
+    run ~config ~seed ~min_iterations ?cache ~budget_seconds inst
   else begin
     let start = Unix.gettimeofday () in
     let shared = make_shared () in
@@ -383,7 +354,7 @@ let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
     let min_per_worker = (min_iterations + jobs - 1) / jobs in
     let job i =
       exhaust
-        (Course.make ~config ?cache ~incremental ?kernel ~shared
+        (Course.make ~config ?cache ~shared
            ~rng:rngs.(i) ~start ~min_iterations:min_per_worker
            ~budget_seconds inst)
     in

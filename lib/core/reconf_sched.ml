@@ -1,119 +1,13 @@
 module Graph = Resched_taskgraph.Graph
 
-let insert_at pos x l =
-  let rec go i = function
-    | rest when i = pos -> x :: rest
-    | [] -> [ x ]
-    | hd :: tl -> hd :: go (i + 1) tl
-  in
-  go 0 l
-
-(* Legal position interval for inserting [k] into [sequence] given the
-   dependency-forced pairwise order: after every scheduled spec that must
-   precede it, before every scheduled spec it must precede. *)
-let position_bounds must_precede specs sequence k =
-  let lo = ref 0 and hi = ref (List.length sequence) in
-  List.iteri
-    (fun pos j ->
-      if must_precede specs.(j) specs.(k) then lo := Stdlib.max !lo (pos + 1);
-      if must_precede specs.(k) specs.(j) then hi := Stdlib.min !hi pos)
-    sequence;
-  (!lo, !hi)
-
-(* Shared skeleton of both paths. [resolve] re-times the partial sequence
-   (from scratch or incrementally), [must_precede] answers the pairwise
-   dependency order (fresh traversal or closure lookup) and
-   [slot_position] picks the insertion point for a non-critical spec from
-   the resolved times. All three are the only things the two paths do
-   differently, and none of them changes the produced sequence. *)
-let run_with ~resolve ~must_precede ~slot_position specs =
-  let nr = Array.length specs in
-  let sequence = ref [] in
-  let insert ~desired k =
-    let lo, hi = position_bounds must_precede specs !sequence k in
-    assert (lo <= hi);
-    let pos = Stdlib.max lo (Stdlib.min hi desired) in
-    sequence := insert_at pos k !sequence
-  in
-  (* Critical reconfigurations first, lowest window start first; their
-     delay hits the makespan in full. Appending in this order realizes
-     the paper's "start after the last scheduled reconfiguration". *)
-  let criticals = ref [] and non_criticals = ref [] in
-  for k = nr - 1 downto 0 do
-    if specs.(k).Timing.critical then criticals := k :: !criticals
-    else non_criticals := k :: !non_criticals
-  done;
-  let best_remaining times remaining =
-    let t_min_of k = times.Timing.task_end.(specs.(k).Timing.t_in) in
-    List.fold_left
-      (fun acc k ->
-        match acc with
-        | None -> Some k
-        | Some b -> if t_min_of k < t_min_of b then Some k else acc)
-      None remaining
-  in
-  let remaining = ref !criticals in
-  while !remaining <> [] do
-    let times = resolve !sequence in
-    (match best_remaining times !remaining with
-    | Some k ->
-      insert ~desired:(List.length !sequence) k;
-      remaining := List.filter (fun j -> j <> k) !remaining
-    | None -> assert false)
-  done;
-  (* Non-critical ones slot into the earliest controller gap at or after
-     their window start; the re-resolution shifts whatever follows. *)
-  let remaining = ref !non_criticals in
-  while !remaining <> [] do
-    let times = resolve !sequence in
-    match best_remaining times !remaining with
-    | None -> assert false
-    | Some k ->
-      let t_min_k = times.Timing.task_end.(specs.(k).Timing.t_in) in
-      insert ~desired:(slot_position times !sequence t_min_k) k;
-      remaining := List.filter (fun j -> j <> k) !remaining
-  done;
-  (specs, !sequence)
-
-(* Earliest instant >= t_min_k outside every scheduled slot, counted as a
-   position, via an explicit sort of the slot list (the original
-   formulation, kept as the oracle). *)
-let slot_position_legacy times sequence t_min_k =
-  let slots =
-    List.map
-      (fun j -> (times.Timing.rec_start.(j), times.Timing.rec_end.(j)))
-      sequence
-    |> List.sort compare
-  in
-  let tau =
-    List.fold_left
-      (fun tau (s, e) -> if tau >= s && tau < e then e else tau)
-      t_min_k slots
-  in
-  List.fold_left
-    (fun acc j -> if times.Timing.rec_start.(j) < tau then acc + 1 else acc)
-    0 sequence
-
-(* The chain edges make the sequenced slots pairwise disjoint and ordered
-   on the controller, so walking [sequence] already visits them sorted by
-   start: one pass both settles tau (once a slot starts past tau no later
-   slot can contain it) and counts the slots left of the final tau. *)
-let slot_position_sorted times sequence t_min_k =
-  let tau = ref t_min_k and desired = ref 0 in
-  List.iter
-    (fun j ->
-      let s = times.Timing.rec_start.(j) and e = times.Timing.rec_end.(j) in
-      if s <= !tau then begin
-        if !tau < e then tau := e;
-        if s < !tau then incr desired
-      end)
-    sequence;
-  !desired
-
-(* ------------------------------------------------------------------ *)
-(* Arena path: the same insertion algorithm as [run_with ~incremental],
-   executed over reusable flat buffers — the restart kernel's
-   per-iteration engine. *)
+(* Critical reconfigurations go first, lowest window start first,
+   appended to the controller sequence: their delay hits the makespan in
+   full. Non-critical ones then slot into the earliest controller gap at
+   or after their window start; re-resolving the augmented graph shifts
+   whatever follows. Every insertion is clamped to the legal position
+   interval that the dependency-forced pairwise order leaves. The
+   sequence, the unscheduled specs and the timing solver all live in
+   reusable flat buffers, refilled every restart iteration. *)
 
 type arena = {
   a_solver : Timing.Solver.t;
@@ -137,7 +31,13 @@ let make_arena () =
     a_rem = [||];
   }
 
-let slot_position_sorted_arr times seq len t_min_k =
+(* Earliest instant >= t_min_k outside every scheduled slot, counted as
+   a position. The chain edges make the sequenced slots pairwise
+   disjoint and ordered on the controller, so walking the sequence
+   already visits them sorted by start: one pass both settles tau (once
+   a slot starts past tau no later slot can contain it) and counts the
+   slots left of the final tau. *)
+let slot_position times seq len t_min_k =
   let tau = ref t_min_k and desired = ref 0 in
   for i = 0 to len - 1 do
     let j = seq.(i) in
@@ -163,7 +63,8 @@ let run_hot ?module_reuse arena state =
   let seq = arena.a_seq and rem = arena.a_rem in
   let len = ref 0 in
   let insert ~desired k =
-    (* [position_bounds] over the array prefix. *)
+    (* Legal interval: after every scheduled spec that must precede [k],
+       before every one [k] must precede. *)
     let lo = ref 0 and hi = ref !len in
     for pos = 0 to !len - 1 do
       let j = seq.(pos) in
@@ -180,9 +81,9 @@ let run_hot ?module_reuse arena state =
     seq.(pos) <- k;
     incr len
   in
-  (* One phase = [run_with]'s while-loop over one criticality class:
-     remaining specs kept in ascending-index order (removal shifts), the
-     argmin scan replays [best_remaining]'s first-strict-minimum rule. *)
+  (* One phase per criticality class: remaining specs are kept in
+     ascending-index order (removal shifts), and each round picks the
+     first strict minimum of the resolved window start. *)
   let phase ~critical ~slotted =
     let rcount = ref 0 in
     for k = 0 to nr - 1 do
@@ -208,7 +109,7 @@ let run_hot ?module_reuse arena state =
       done;
       let k = rem.(!bi) in
       let desired =
-        if slotted then slot_position_sorted_arr times seq !len !best_t
+        if slotted then slot_position times seq !len !best_t
         else !len
       in
       insert ~desired k;
@@ -222,19 +123,3 @@ let run_hot ?module_reuse arena state =
   phase ~critical:false ~slotted:true;
   let times = Timing.Solver.resolve_array solver ~sequence:seq ~len:!len in
   { p_specs = specs; p_seq = seq; p_len = !len; p_times = times }
-
-let run ?module_reuse ?(incremental = true) state =
-  let specs = Timing.reconf_specs ?module_reuse state in
-  if incremental then begin
-    let closure = Graph.closure state.State.dep in
-    let solver = Timing.Solver.create state ~reconfigs:specs in
-    run_with
-      ~resolve:(fun sequence -> Timing.Solver.resolve solver ~sequence)
-      ~must_precede:(Timing.must_precede_closure closure)
-      ~slot_position:slot_position_sorted specs
-  end
-  else
-    run_with
-      ~resolve:(fun sequence -> Timing.resolve state ~reconfigs:specs ~sequence)
-      ~must_precede:(Timing.must_precede state)
-      ~slot_position:slot_position_legacy specs

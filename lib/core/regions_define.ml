@@ -119,43 +119,13 @@ let place_non_critical state ~task =
     | None -> State.switch_to_sw state ~task
   end
 
-let sort_tasks state ordering tasks =
-  let efficiency u = Cost.efficiency state.State.cost (State.impl state u) in
-  let cost u = Cost.cost state.State.cost (State.impl state u) in
-  match ordering with
-  | By_efficiency ->
-    List.stable_sort (fun a b -> compare (efficiency b) (efficiency a)) tasks
-  | By_cost -> List.stable_sort (fun a b -> compare (cost a) (cost b)) tasks
-  | Topological ->
-    List.stable_sort
-      (fun a b -> compare (State.t_min state a) (State.t_min state b))
-      tasks
-  | Random rng -> Rng.shuffle rng tasks
-
-let run_legacy ?module_reuse ~ordering state =
+(* Partition and sort the hardware tasks in borrowed scratch arrays:
+   stable insertion sorts over index-ordered segments give the order
+   [List.stable_sort] would, and the inlined Fisher-Yates over the
+   non-critical segment replays [Rng.shuffle]'s exact draw sequence. *)
+let run ?module_reuse ~ordering state =
   let n = Resched_platform.Instance.size state.State.inst in
-  let critical = Array.copy state.State.cpm.Resched_taskgraph.Cpm.critical in
-  let hw_tasks =
-    List.filter (fun u -> State.is_hw state u) (List.init n (fun i -> i))
-  in
-  let criticals, non_criticals =
-    List.partition (fun u -> critical.(u)) hw_tasks
-  in
-  (* Critical tasks keep the deterministic efficiency order even in the
-     randomized variant (Sec. VI randomizes only non-critical tasks). *)
-  let criticals = sort_tasks state By_efficiency criticals in
-  let non_criticals = sort_tasks state ordering non_criticals in
-  List.iter (fun task -> place_critical ?module_reuse state ~task) criticals;
-  List.iter (fun task -> place_non_critical state ~task) non_criticals
-
-(* Arena-state fast path: partition/sort the hardware tasks in borrowed
-   scratch arrays. The task order fed to the placement loops is
-   bit-identical to [run_legacy]'s — stable insertion sorts over
-   index-ordered segments reproduce [List.stable_sort], and the inlined
-   Fisher-Yates over the non-critical segment replays [Rng.shuffle]'s
-   exact draw sequence — so both paths build the same regions. *)
-let run_scratch ?module_reuse ~ordering state scratch =
-  let n = Resched_platform.Instance.size state.State.inst in
+  let scratch = State.scratch_of state in
   let critical = State.sc_flags scratch in
   Array.blit state.State.cpm.Resched_taskgraph.Cpm.critical 0 critical 0 n;
   let tasks = State.sc_tasks scratch in
@@ -209,8 +179,3 @@ let run_scratch ?module_reuse ~ordering state scratch =
   for i = nc to nc + nnc - 1 do
     place_non_critical state ~task:tasks.(i)
   done
-
-let run ?module_reuse ~ordering state =
-  match State.scratch_of state with
-  | Some scratch -> run_scratch ?module_reuse ~ordering state scratch
-  | None -> run_legacy ?module_reuse ~ordering state

@@ -23,10 +23,9 @@ type region = {
 }
 
 type scratch
-(** Reusable workspaces for allocation-free pipeline steps
-    (restart-arena states only): CPM buffers + durations for window
-    refreshes, plus size-[n] int/float/bool arrays the steps borrow for
-    sorting and marking. *)
+(** Reusable workspaces for allocation-free pipeline steps: CPM buffers
+    + durations for window refreshes, plus size-[n] int/float/bool
+    arrays the steps borrow for sorting and marking. *)
 
 val sc_tasks : scratch -> int array
 (** Size-[n] int workspace. Contents are clobbered by any pipeline step
@@ -58,17 +57,15 @@ type t = {
       (** running sum of all regions' requirements *)
   region_of : int array;  (** region id or -1 *)
   processor_of : int array;  (** processor id or -1 *)
-  mutable cpm : Cpm.t;  (** windows for the current durations/graph *)
-  scratch : scratch option;
-      (** when present, {!refresh_windows} recycles one set of CPM
-          arrays: the record in [cpm] is then only valid until the next
-          refresh (copy what must survive). [Pa.Context] arena states
-          carry scratch; plain states never do. *)
+  mutable cpm : Cpm.t;
+      (** windows for the current durations/graph. {!refresh_windows}
+          recycles one set of CPM arrays, so the record is only valid
+          until the next refresh (copy what must survive). *)
+  scratch : scratch;
 }
 
 val create : Resched_platform.Instance.t -> ?resource_scale:float ->
-  ?cost:Cost.t -> ?base_cpm:Cpm.t -> ?scratch:bool -> impl_of:int array ->
-  unit -> t
+  ?cost:Cost.t -> ?base_cpm:Cpm.t -> impl_of:int array -> unit -> t
 (** Fresh state with the given initial implementation selection; windows
     are computed immediately from the initial durations (no placeholder
     pass). [resource_scale] (default 1.0) virtually scales the device's
@@ -77,8 +74,7 @@ val create : Resched_platform.Instance.t -> ?resource_scale:float ->
     for this [max_res], and the CPM of the unaugmented graph under the
     initial durations); when omitted they are computed here. A shared
     [base_cpm] is never mutated — window refreshes never write into its
-    arrays. [scratch] (default false) equips the state for
-    allocation-free window refreshes; see the [scratch] field. *)
+    arrays. *)
 
 val reset : t -> impl_of:int array -> base_cpm:Cpm.t -> unit
 (** Restore the state to what [create] with the same arguments would
@@ -92,14 +88,13 @@ val impl : t -> int -> Resched_platform.Impl.t
 (** The currently selected implementation of a task. *)
 
 val duration : t -> int -> int
-val durations : t -> int array
 
 val is_hw : t -> int -> bool
 (** Is the currently selected implementation a hardware one? *)
 
 val hw_impls : t -> int -> (int * Resched_platform.Impl.t) list
-(** [Instance.hw_impls] for this state's instance; arena states answer
-    from a list cached at creation (same contents, no allocation). *)
+(** [Instance.hw_impls] for this state's instance, answered from a list
+    cached at creation (same contents, no allocation). *)
 
 val refresh_windows : t -> unit
 (** Recompute CPM windows for the current durations and augmented graph. *)
@@ -118,9 +113,8 @@ val nth_region : t -> int -> region
 (** Region by creation index, O(1). Raises [Invalid_argument] when out
     of range. *)
 
-val scratch_of : t -> scratch option
-(** This state's scratch workspaces, when it was created with
-    [~scratch:true]. *)
+val scratch_of : t -> scratch
+(** This state's scratch workspaces. *)
 
 val region_count : t -> int
 

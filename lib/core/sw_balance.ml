@@ -60,33 +60,12 @@ let try_move state ~task =
   in
   attempt 0
 
-let run_legacy state =
+(* Candidates are collected and sorted in a borrowed scratch array: a
+   stable t_min order (insertion sort over index-ordered input ties out
+   with [List.sort]'s stable merge), zero list churn. *)
+let run state =
   let n = Instance.size state.State.inst in
-  let candidates =
-    List.filter
-      (fun u ->
-        (not (State.is_hw state u))
-        && Instance.hw_impls state.State.inst u <> [])
-      (List.init n (fun i -> i))
-  in
-  let by_t_min =
-    List.sort
-      (fun a b -> compare (State.t_min state a) (State.t_min state b))
-      candidates
-  in
-  List.iter
-    (fun task ->
-      let budget = tot_rec_time state in
-      if State.t_min state task > budget then try_move state ~task)
-    by_t_min
-
-(* Arena states collect and sort the candidates in a borrowed scratch
-   array: same candidate set, same stable t_min order (insertion sort
-   over index-ordered input ties out with [List.sort]'s stable merge),
-   zero list churn. *)
-let run_scratch state scratch =
-  let n = Instance.size state.State.inst in
-  let cand = State.sc_tasks scratch in
+  let cand = State.sc_tasks (State.scratch_of state) in
   let count = ref 0 in
   for u = 0 to n - 1 do
     if (not (State.is_hw state u)) && State.hw_impls state u <> [] then begin
@@ -102,8 +81,3 @@ let run_scratch state scratch =
     let budget = tot_rec_time state in
     if State.t_min state task > budget then try_move state ~task
   done
-
-let run state =
-  match State.scratch_of state with
-  | Some scratch -> run_scratch state scratch
-  | None -> run_legacy state

@@ -50,42 +50,21 @@ let run ?(incremental = true) state =
     state.State.inst.Instance.arch.Resched_platform.Arch.processors
   in
   let on_processor = Array.make processors [] in
-  (* Software tasks sorted by t_min. Arena states collect and
-     stable-insertion-sort them in borrowed scratch (same order as the
-     legacy filter + [List.sort], which is the stdlib's stable merge);
-     plain states keep the list pipeline. *)
+  (* Software tasks stable-insertion-sorted by t_min in borrowed scratch
+     (the order filter + [List.sort], the stdlib's stable merge, gives). *)
   let scratch = State.scratch_of state in
-  let sw_arr, sw_count =
-    match scratch with
-    | Some s ->
-      let arr = State.sc_tasks s in
-      let count = ref 0 in
-      for u = 0 to n - 1 do
-        if not (State.is_hw state u) then begin
-          arr.(!count) <- u;
-          incr count
-        end
-      done;
-      Resched_util.Sort.by_int_key arr ~base:0 ~len:!count
-        ~key:(State.t_min state);
-      (arr, !count)
-    | None ->
-      let l =
-        List.filter
-          (fun u -> not (State.is_hw state u))
-          (List.init n (fun i -> i))
-        |> List.sort
-             (fun a b -> compare (State.t_min state a) (State.t_min state b))
-      in
-      (Array.of_list l, List.length l)
-  in
-  let fwd, anc =
-    if not incremental then ([||], [||])
-    else
-      match scratch with
-      | Some s -> (State.sc_flags s, State.sc_mark s)
-      | None -> (Array.make n false, Array.make n false)
-  in
+  let sw_arr = State.sc_tasks scratch in
+  let sw_count = ref 0 in
+  for u = 0 to n - 1 do
+    if not (State.is_hw state u) then begin
+      sw_arr.(!sw_count) <- u;
+      incr sw_count
+    end
+  done;
+  let sw_count = !sw_count in
+  Resched_util.Sort.by_int_key sw_arr ~base:0 ~len:sw_count
+    ~key:(State.t_min state);
+  let fwd = State.sc_flags scratch and anc = State.sc_mark scratch in
   for i = 0 to sw_count - 1 do
     let task = sw_arr.(i) in
     let end_of u = State.t_min state u + State.duration state u in

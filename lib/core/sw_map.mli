@@ -13,7 +13,8 @@ val run : ?incremental:bool -> State.t -> unit
     each (task, assigned) pair from incrementally maintained descendant
     and ancestor marks instead of two reachability DFS per pair — the
     decisions, inserted edges and resulting schedule are bit-identical
-    (property-tested); [false] keeps the pairwise-DFS oracle. *)
+    (property-tested); [false] keeps the pairwise-DFS formulation,
+    which the test-only reference pipeline uses. *)
 
 val delay : State.t -> task:int -> last_end:int -> int
 (** λ_p for a processor whose currently-last task ends at [last_end]. *)

@@ -50,52 +50,20 @@ let reconf_specs ?(module_reuse = false) state =
       pairs r.State.tasks);
   Array.of_list (List.rev !specs)
 
-let resolve state ~reconfigs ~sequence =
-  let n = Instance.size state.State.inst in
-  let nr = Array.length reconfigs in
-  let g = Graph.create (n + nr) in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (Graph.edges state.State.dep);
-  Array.iteri
-    (fun k spec ->
-      Graph.add_edge g spec.t_in (n + k);
-      Graph.add_edge g (n + k) spec.t_out)
-    reconfigs;
-  let rec chain = function
-    | a :: b :: tl ->
-      Graph.add_edge g (n + a) (n + b);
-      chain (b :: tl)
-    | [ _ ] | [] -> ()
-  in
-  chain sequence;
-  let durations =
-    Array.init (n + nr) (fun i ->
-        if i < n then State.duration state i else reconfigs.(i - n).dur)
-  in
-  let cpm = Cpm.compute g ~durations in
-  let task_start = Array.sub cpm.Cpm.t_min 0 n in
-  let task_end = Array.init n (fun u -> task_start.(u) + durations.(u)) in
-  let rec_start = Array.init nr (fun k -> cpm.Cpm.t_min.(n + k)) in
-  let rec_end = Array.init nr (fun k -> rec_start.(k) + reconfigs.(k).dur) in
-  let makespan = Array.fold_left Stdlib.max 0 task_end in
-  { task_start; task_end; rec_start; rec_end; makespan }
-
-let must_precede state a b =
-  a.t_out = b.t_in || (Graph.reachable state.State.dep a.t_out).(b.t_in)
-
 let must_precede_closure closure a b =
   a.t_out = b.t_in || Graph.in_closure closure a.t_out b.t_in
 
 module Solver = struct
   (* The augmented graph (data edges, region/processor ordering edges,
      one node per reconfiguration wired between its in/out tasks) is
-     invariant across the resolves of one [Reconf_sched.run]; only the
-     controller-chain edges over [sequence] change. The base adjacency,
-     in-degrees and durations are therefore built once, the chain is kept
-     as a [chain_next] side array, and every resolve is a single
-     allocation-free Kahn pass that relaxes earliest starts as nodes are
-     dequeued (any topological order yields the same longest-path
-     [t_min], so the result is bit-identical to the from-scratch
-     {!resolve}). *)
+     invariant across the resolves of one [Reconf_sched.run_hot]; only
+     the controller-chain edges over [sequence] change. The base
+     adjacency, in-degrees and durations are therefore built once, the
+     chain is kept as a [chain_next] side array, and every resolve is a
+     single allocation-free Kahn pass that relaxes earliest starts as
+     nodes are dequeued (any topological order yields the same
+     longest-path [t_min], so the result is bit-identical to a
+     from-scratch CPM over the fully built graph). *)
 
   (* Every field is mutable so one solver value can be {!reload}ed for
      each restart iteration, growing its arrays on demand: loops are
@@ -140,7 +108,7 @@ module Solver = struct
         add spec.t_in (n + k);
         add (n + k) spec.t_out)
       reconfigs;
-    (* Flatten to CSR: the base adjacency never changes after [create],
+    (* Flatten to CSR: the base adjacency never changes after [of_plan],
        and [resolve] runs many times over it — contiguous int arrays
        beat chasing cons cells on every pass. *)
     let edges = Array.fold_left (fun acc bi -> acc + bi) 0 base_indeg in
@@ -177,10 +145,6 @@ module Solver = struct
       rec_start = Array.make (Stdlib.max 1 nr) 0;
       rec_end = Array.make (Stdlib.max 1 nr) 0;
     }
-
-  let create state ~reconfigs =
-    of_plan ~graph:state.State.dep ~durations:(State.durations state)
-      ~reconfigs
 
   let scratch () =
     {

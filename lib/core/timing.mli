@@ -29,53 +29,38 @@ val reconf_specs : ?module_reuse:bool -> State.t -> reconf_spec array
     [module_id] are skipped when [module_reuse] is set. Criticality is
     taken from the state's current windows. *)
 
-val resolve : State.t -> reconfigs:reconf_spec array -> sequence:int list ->
-  resolved
-(** Earliest-start times subject to: augmented dependency edges, each
-    reconfiguration after its ingoing and before its outgoing task, and
-    the total [sequence] (indices into [reconfigs]) on the reconfiguration
-    controller. Reconfigurations not in [sequence] are only constrained
-    by their region. Raises [Graph.Cycle] if the sequence contradicts the
-    dependencies. *)
-
-val must_precede : State.t -> reconf_spec -> reconf_spec -> bool
-(** Dependency-forced ordering between two reconfigurations: [a] must run
-    before [b] when [a]'s outgoing task (transitively) precedes [b]'s
-    ingoing task, or they share a region in that order. Runs a fresh
-    graph traversal per call; the sequencing hot path uses
-    {!must_precede_closure} instead. *)
-
 val must_precede_closure :
   Resched_taskgraph.Graph.closure -> reconf_spec -> reconf_spec -> bool
-(** {!must_precede} answered in O(1) from a one-shot
-    {!Resched_taskgraph.Graph.closure} of the state's augmented
-    dependency graph (valid while no further edges are inserted). *)
+(** Dependency-forced ordering between two reconfigurations: [a] must
+    run before [b] when [a]'s outgoing task (transitively) precedes
+    [b]'s ingoing task, or they share a region in that order. Answered
+    in O(1) from a {!Resched_taskgraph.Graph.closure} of the state's
+    augmented dependency graph (valid while no further edges are
+    inserted). *)
 
-(** Incremental counterpart of {!resolve} for the sequencing loop of
-    step 7, which resolves once per reconfiguration insertion: the
-    augmented graph and durations are compiled once at {!Solver.create},
-    and each {!Solver.resolve} only re-applies the controller-chain
-    edges and reruns the longest-path pass over reused scratch arrays.
-    Produces bit-identical times to the from-scratch {!resolve}. *)
+(** Earliest-start times for the sequencing loop of step 7, which
+    resolves once per reconfiguration insertion: the augmented graph and
+    durations are compiled once, and each {!Solver.resolve} only
+    re-applies the controller-chain edges and reruns the longest-path
+    pass over reused scratch arrays. *)
 module Solver : sig
   type t
 
-  val create : State.t -> reconfigs:reconf_spec array -> t
-  (** Compile the state's current augmented graph. The solver snapshots
-      dependencies and durations: it must not outlive further mutations
-      of the state. *)
-
   val of_plan : graph:Resched_taskgraph.Graph.t -> durations:int array ->
     reconfigs:reconf_spec array -> t
-  (** {!create} decoupled from the scheduler state: compile an explicit
-      precedence graph over the task nodes (one [durations] entry per
-      node) plus the reconfiguration nodes described by [reconfigs].
-      Used by the schedule-repair engine, whose precedence structure
-      comes from a finished {!Schedule.t} rather than a live state. *)
+  (** Compile an explicit precedence graph over the task nodes (one
+      [durations] entry per node) plus the reconfiguration nodes
+      described by [reconfigs], each wired after its ingoing and before
+      its outgoing task. The solver snapshots the graph: it must not
+      outlive further mutations of it. *)
 
   val resolve : ?release:int array -> t -> sequence:int list -> resolved
-  (** Same contract as {!resolve} for this solver's state and reconfigs.
-      [release] (length task nodes + reconfiguration nodes, default all
+  (** Earliest-start times subject to the compiled precedences and the
+      total [sequence] (indices into [reconfigs]) on the reconfiguration
+      controller; reconfigurations not in [sequence] are only
+      constrained by their region. Raises
+      {!Resched_taskgraph.Graph.Cycle} if the sequence contradicts the
+      dependencies. [release] (length task nodes + reconfiguration nodes, default all
       zero) gives a per-node earliest start: no activity begins before
       its release time, on top of every precedence constraint. The
       arrays of the result are owned by the solver and overwritten by
@@ -84,15 +69,15 @@ module Solver : sig
   val scratch : unit -> t
   (** An empty reusable solver: {!reload} it before resolving. One
       scratch solver per restart arena turns the per-iteration
-      {!create} compilation into an allocation-free refill once its
+      {!of_plan} compilation into an allocation-free refill once its
       buffers have grown to the instance's high-water mark. *)
 
   val reload : t -> State.t -> reconfigs:reconf_spec array -> unit
   (** Recompile the solver in place for the state's current augmented
-      graph and durations (what {!create} builds, minus the
+      graph and durations (what {!of_plan} builds from them, minus the
       allocations). The solver's arrays may be longer than the compiled
       problem; all resolves are bounded by the compiled sizes. Results
-      are bit-identical to a freshly {!create}d solver's. *)
+      are bit-identical to a freshly compiled solver's. *)
 
   val resolve_array :
     ?release:int array -> t -> sequence:int array -> len:int -> resolved

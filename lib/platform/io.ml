@@ -57,6 +57,14 @@ let of_string text =
     | Some v -> k v
     | None -> error lineno (Printf.sprintf "expected integer, got %S" s)
   in
+  (* The [Impl]/[Arch] smart constructors reject out-of-range values
+     (non-positive times, empty hardware resources, no processors) with
+     [Invalid_argument]; report that as a parse error at the line. *)
+  let construct lineno make k =
+    match make () with
+    | v -> k v
+    | exception Invalid_argument msg -> error lineno msg
+  in
   let lines = String.split_on_char '\n' text in
   let rec go lineno = function
     | [] -> finish ()
@@ -74,9 +82,11 @@ let of_string text =
             | None, _ -> error lineno (Printf.sprintf "bad recfreq %S" f)
             | _, None -> error lineno (Printf.sprintf "unknown device %S" d)
             | Some bits_per_tick, Some device ->
-              state.arch <-
-                Some (Arch.make ~processors ~device ~bits_per_tick ());
-              go (lineno + 1) rest)
+              construct lineno
+                (Arch.make ~processors ~device ~bits_per_tick)
+                (fun arch ->
+                  state.arch <- Some arch;
+                  go (lineno + 1) rest))
       | [ "tasks"; n ] ->
         parse_int lineno n (fun n ->
             if n < 0 then error lineno "negative task count"
@@ -102,9 +112,12 @@ let of_string text =
         if state.current < 0 then error lineno "impl before any task"
         else
           parse_int lineno t (fun time ->
-              state.impls.(state.current) <-
-                Impl.sw ~time :: state.impls.(state.current);
-              go (lineno + 1) rest)
+              construct lineno
+                (fun () -> Impl.sw ~time)
+                (fun impl ->
+                  state.impls.(state.current) <-
+                    impl :: state.impls.(state.current);
+                  go (lineno + 1) rest))
       | "impl" :: "hw" :: "time" :: t :: "clb" :: c :: "bram" :: b :: "dsp"
         :: d :: tail ->
         if state.current < 0 then error lineno "impl before any task"
@@ -115,10 +128,11 @@ let of_string text =
                       parse_int lineno d (fun dsp ->
                           let res = Resource.make ~clb ~bram ~dsp in
                           let finishing module_id =
-                            state.impls.(state.current) <-
-                              Impl.hw ?module_id ~time ~res ()
-                              :: state.impls.(state.current);
-                            go (lineno + 1) rest
+                            construct lineno (Impl.hw ?module_id ~time ~res)
+                              (fun impl ->
+                                state.impls.(state.current) <-
+                                  impl :: state.impls.(state.current);
+                                go (lineno + 1) rest)
                           in
                           match tail with
                           | [] -> finishing None

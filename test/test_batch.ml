@@ -1,6 +1,6 @@
 (* Tests for the batch engine ([Batch.run]), the resumable course
    abstraction it interleaves, and the allocation contract of the SoA
-   restart kernel against its boxed oracle. *)
+   restart kernel against the boxed reference pipeline. *)
 
 module Rng = Resched_util.Rng
 module Fp_cache = Resched_floorplan.Fp_cache
@@ -16,6 +16,7 @@ module Impl_select = Resched_core.Impl_select
 module Regions_define = Resched_core.Regions_define
 module Sw_balance = Resched_core.Sw_balance
 module Arch = Resched_platform.Arch
+module Reference = Resched_reference.Reference
 
 (* Everything observable about an outcome except wall-clock artifacts
    (elapsed stamps, allocation counters): equality here is what
@@ -78,9 +79,10 @@ let prop_batch_equals_sequential =
            (fun a b -> outcome_fingerprint a = outcome_fingerprint b)
            outcomes sequential)
 
-(* Property: the flat struct-of-arrays kernel and the boxed legacy
-   pipeline produce bit-identical outcomes (S2's reused-scratch sorts
-   included); they may only differ in allocation. *)
+(* Property: PA-R over the flat struct-of-arrays kernel and Algorithm 1
+   over the boxed, list-based reference pipeline produce bit-identical
+   outcomes (the reused-scratch sorts included); they may only differ in
+   allocation. *)
 let prop_soa_kernel_equals_boxed_oracle =
   QCheck.Test.make ~count:12
     ~name:"SoA kernel = boxed oracle (bit-identical outcomes)"
@@ -88,10 +90,10 @@ let prop_soa_kernel_equals_boxed_oracle =
     (fun (seed, tasks) ->
       let rng = Rng.create (seed lxor 0x50abc) in
       let inst = Suite.instance rng ~tasks in
-      let run kernel =
-        Pa_random.run ~seed ~min_iterations:10 ~kernel ~budget_seconds:0. inst
+      let soa =
+        Pa_random.run ~seed ~min_iterations:10 ~budget_seconds:0. inst
       in
-      let soa = run `Soa and boxed = run `Boxed in
+      let boxed = Reference.run_random ~seed ~min_iterations:10 inst in
       outcome_fingerprint soa = outcome_fingerprint boxed
       &&
       match soa.Pa_random.schedule with
@@ -204,25 +206,31 @@ let test_batch_cancelled_request () =
     [ (0, 3); (2, 5) ]
 
 (* Allocation regression guard: the SoA kernel must allocate far less
-   than the boxed oracle per restart, and stay under an absolute
-   ceiling that a reintroduced per-iteration List.sort/List.map rebuild
-   (the bug S2 fixed) would immediately blow through. *)
+   than the boxed reference pipeline per restart, and stay under an
+   absolute ceiling that a reintroduced per-iteration List.sort/List.map
+   rebuild would immediately blow through. *)
 let test_words_per_iteration () =
   let rng = Rng.create 33 in
   let inst = Suite.instance rng ~tasks:60 in
-  let words kernel =
-    (* A cache keeps repeated floorplan probes (whose allocation belongs
-       to the packer, not the restart kernel) from dominating the
-       per-iteration average; enough iterations amortize the cold
-       misses both kernels pay identically. *)
-    let o =
-      Pa_random.run ~seed:5 ~min_iterations:150 ~kernel
-        ~cache:(Fp_cache.create ~subsumption:false ())
-        ~budget_seconds:0. inst
-    in
+  (* A cache keeps repeated floorplan probes (whose allocation belongs
+     to the packer, not the restart kernel) from dominating the
+     per-iteration average; enough iterations amortize the cold misses
+     both sides pay identically. *)
+  let words (o : Pa_random.outcome) =
     o.Pa_random.minor_words /. float_of_int (max 1 o.Pa_random.iterations)
   in
-  let soa = words `Soa and boxed = words `Boxed in
+  let soa =
+    words
+      (Pa_random.run ~seed:5 ~min_iterations:150
+         ~cache:(Fp_cache.create ~subsumption:false ())
+         ~budget_seconds:0. inst)
+  in
+  let boxed =
+    words
+      (Reference.run_random ~seed:5 ~min_iterations:150
+         ~cache:(Fp_cache.create ~subsumption:false ())
+         inst)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "SoA kernel under 100k words/iteration (got %.0f)" soa)
     true (soa < 100_000.);
@@ -232,36 +240,34 @@ let test_words_per_iteration () =
     true
     (boxed >= 5. *. soa)
 
-(* The per-task hw_impls cache in arena scratch answers exactly what
+(* The per-task hw_impls cache in state scratch answers exactly what
    [Instance.hw_impls] computes. *)
 let test_state_hw_impls_cache () =
   let rng = Rng.create 45 in
   let inst = Suite.instance rng ~tasks:25 in
   let impl_of = Impl_select.run inst ~max_res:(Arch.max_res inst.Instance.arch) in
-  let plain = State.create inst ~impl_of () in
-  let arena = State.create inst ~impl_of ~scratch:true () in
+  let state = State.create inst ~impl_of () in
   for u = 0 to Instance.size inst - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "task %d cached hw_impls = computed" u)
       true
-      (State.hw_impls arena u = State.hw_impls plain u
-      && State.hw_impls plain u = Instance.hw_impls inst u)
+      (State.hw_impls state u = Instance.hw_impls inst u)
   done
 
-(* S2, isolated: software balancing over a scratch-equipped state (the
-   in-place insertion sort over a borrowed array) must leave the state
-   in exactly the configuration the legacy List.sort path produces. *)
+(* Software balancing in isolation: the in-place insertion sort over a
+   borrowed scratch array must leave the state in exactly the
+   configuration the reference's List.stable_sort pass produces. *)
 let test_sw_balance_scratch_matches_legacy () =
   let rng = Rng.create 57 in
   let inst = Suite.instance rng ~tasks:30 in
   let impl_of = Impl_select.run inst ~max_res:(Arch.max_res inst.Instance.arch) in
-  let build scratch =
-    let state = State.create inst ~impl_of:(Array.copy impl_of) ~scratch () in
+  let build balance =
+    let state = State.create inst ~impl_of:(Array.copy impl_of) () in
     Regions_define.run ~ordering:Regions_define.By_efficiency state;
-    Sw_balance.run state;
+    balance state;
     state
   in
-  let fast = build true and legacy = build false in
+  let fast = build Sw_balance.run and legacy = build Reference.sw_balance in
   Alcotest.(check (array int))
     "same implementation selection" legacy.State.impl_of fast.State.impl_of;
   Alcotest.(check (array int))

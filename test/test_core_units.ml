@@ -19,6 +19,8 @@ module Gantt = Resched_core.Gantt
 module Metrics = Resched_core.Metrics
 module Impl_select = Resched_core.Impl_select
 module Sw_map = Resched_core.Sw_map
+module Reconf_sched = Resched_core.Reconf_sched
+module Reference = Resched_reference.Reference
 
 let good_schedule () =
   let rng = Rng.create 2 in
@@ -172,8 +174,8 @@ let test_timing_resolve_respects_sequence () =
   State.assign_to_region state ~task:3 r1;
   let specs = Timing.reconf_specs state in
   Alcotest.(check int) "two reconfigurations" 2 (Array.length specs);
-  let resolved01 = Timing.resolve state ~reconfigs:specs ~sequence:[ 0; 1 ] in
-  let resolved10 = Timing.resolve state ~reconfigs:specs ~sequence:[ 1; 0 ] in
+  let resolved01 = Reference.resolve state ~reconfigs:specs ~sequence:[ 0; 1 ] in
+  let resolved10 = Reference.resolve state ~reconfigs:specs ~sequence:[ 1; 0 ] in
   (* In both orders the controller is exclusive. *)
   List.iter
     (fun (r : Timing.resolved) ->
@@ -181,6 +183,11 @@ let test_timing_resolve_respects_sequence () =
       let s1, e1 = (r.Timing.rec_start.(1), r.Timing.rec_end.(1)) in
       Alcotest.(check bool) "no controller overlap" true (e0 <= s1 || e1 <= s0))
     [ resolved01; resolved10 ]
+
+let solver_of_state state ~reconfigs =
+  Timing.Solver.of_plan ~graph:state.State.dep
+    ~durations:(Array.init (Instance.size state.State.inst) (State.duration state))
+    ~reconfigs
 
 let check_resolved name (a : Timing.resolved) (b : Timing.resolved) =
   Alcotest.(check (array int))
@@ -206,7 +213,7 @@ let test_solver_matches_from_scratch_resolve () =
   State.assign_to_region state ~task:2 r1;
   State.assign_to_region state ~task:3 r1;
   let specs = Timing.reconf_specs state in
-  let solver = Timing.Solver.create state ~reconfigs:specs in
+  let solver = solver_of_state state ~reconfigs:specs in
   (* The solver's scratch arrays are rewound by every resolve: replaying
      a sequence after another one must reproduce the from-scratch answer
      bit for bit. *)
@@ -216,13 +223,15 @@ let test_solver_matches_from_scratch_resolve () =
         String.concat "," (List.map string_of_int sequence) |> ( ^ ) "seq "
       in
       check_resolved name
-        (Timing.resolve state ~reconfigs:specs ~sequence)
+        (Reference.resolve state ~reconfigs:specs ~sequence)
         (Timing.Solver.resolve solver ~sequence))
     [ [ 0; 1 ]; [ 1; 0 ]; [ 0; 1 ] ]
 
 let test_solver_matches_resolve_on_pipeline_state () =
   (* A state shaped by the real pipeline (region + processor ordering
-     edges, software switches) instead of a hand-built fixture. *)
+     edges, software switches) instead of a hand-built fixture: step 7's
+     arena plan must hold the reference's sequence and from-scratch
+     times, and a list-driven solver must agree with both. *)
   let rng = Rng.create 50 in
   let inst = Suite.instance rng ~tasks:25 in
   let impl_of = Impl_select.run inst ~max_res:(Arch.max_res inst.Instance.arch) in
@@ -231,10 +240,14 @@ let test_solver_matches_resolve_on_pipeline_state () =
     ~ordering:Resched_core.Regions_define.By_efficiency state;
   Resched_core.Sw_balance.run state;
   Sw_map.run state;
-  let specs, sequence = Resched_core.Reconf_sched.run state in
-  let solver = Timing.Solver.create state ~reconfigs:specs in
-  check_resolved "pipeline sequence"
-    (Timing.resolve state ~reconfigs:specs ~sequence)
+  let specs, sequence = Reference.reconf_sched state in
+  let reference = Reference.resolve state ~reconfigs:specs ~sequence in
+  let plan = Reconf_sched.run_hot (Reconf_sched.make_arena ()) state in
+  Alcotest.(check (list int)) "arena sequence = reference sequence" sequence
+    (List.init plan.Reconf_sched.p_len (fun i -> plan.Reconf_sched.p_seq.(i)));
+  check_resolved "arena plan" reference plan.Reconf_sched.p_times;
+  let solver = solver_of_state state ~reconfigs:specs in
+  check_resolved "pipeline sequence" reference
     (Timing.Solver.resolve solver ~sequence)
 
 let test_timing_reuse_skips_pairs () =

@@ -167,6 +167,32 @@ let test_io_errors () =
      time 5\nedge 0 7"
   (* edge out of range *)
 
+(* Values the [Impl]/[Arch] constructors reject come back as a parse
+   error naming the offending line, never as an escaping exception. *)
+let test_io_rejects_invalid_values () =
+  let expect_line_error ~line text =
+    match Io.of_string text with
+    | Ok _ -> Alcotest.failf "expected a parse error for %S" text
+    | Error msg ->
+      let prefix = Printf.sprintf "line %d: " line in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S starts with %S" msg prefix)
+        true
+        (String.starts_with ~prefix msg)
+  in
+  let header = "arch processors 1 recfreq 3200 device minifab\ntasks 1\ntask 0\n" in
+  expect_line_error ~line:4 (header ^ "impl sw time -5\n");
+  expect_line_error ~line:4 (header ^ "impl sw time 0\n");
+  expect_line_error ~line:5
+    (header ^ "impl sw time 5\nimpl hw time 0 clb 10 bram 0 dsp 0\n");
+  expect_line_error ~line:5
+    (header ^ "impl sw time 5\nimpl hw time -3 clb 10 bram 0 dsp 0\n");
+  expect_line_error ~line:5
+    (header ^ "impl sw time 5\nimpl hw time 7 clb 0 bram 0 dsp 0\n");
+  expect_line_error ~line:2
+    "# header\narch processors 0 recfreq 3200 device minifab\ntasks 1\n\
+     task 0\nimpl sw time 5\n"
+
 let test_io_comments_and_blank_lines () =
   let text =
     "# a comment\n\narch processors 1 recfreq 3200 device minifab\ntasks 1\n\
@@ -218,6 +244,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_io_roundtrip;
           Alcotest.test_case "errors" `Quick test_io_errors;
+          Alcotest.test_case "invalid values" `Quick
+            test_io_rejects_invalid_values;
           Alcotest.test_case "comments" `Quick test_io_comments_and_blank_lines;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_suite_roundtrip ]);

@@ -20,6 +20,7 @@ module State = Resched_core.State
 module Regions_define = Resched_core.Regions_define
 module Sw_balance = Resched_core.Sw_balance
 module Metrics = Resched_core.Metrics
+module Reference = Resched_reference.Reference
 
 let validate_or_fail sched =
   match Validate.check sched with
@@ -328,9 +329,10 @@ let test_par_min_iterations () =
     (outcome.Pa_random.iterations >= 8)
 
 let test_reconf_sched_sequences_all () =
-  (* Step 7 must sequence exactly the region-internal reconfigurations
-     and keep them disjoint on the controller (checked via validation of
-     the final schedule, and structurally here). *)
+  (* Step 7 must sequence exactly the region-internal reconfigurations,
+     in the reference pipeline's order, and keep every dependency-forced
+     ordering (checked structurally here, and via validation of the
+     final schedule elsewhere). *)
   let rng = Rng.create 50 in
   let inst = Suite.instance rng ~tasks:25 in
   let impl_of =
@@ -340,7 +342,19 @@ let test_reconf_sched_sequences_all () =
   Regions_define.run ~ordering:Regions_define.By_efficiency state;
   Resched_core.Sw_balance.run state;
   Resched_core.Sw_map.run state;
-  let specs, sequence = Resched_core.Reconf_sched.run state in
+  let plan =
+    Resched_core.Reconf_sched.run_hot (Resched_core.Reconf_sched.make_arena ())
+      state
+  in
+  let specs = plan.Resched_core.Reconf_sched.p_specs in
+  let sequence =
+    List.init plan.Resched_core.Reconf_sched.p_len (fun i ->
+        plan.Resched_core.Reconf_sched.p_seq.(i))
+  in
+  let ref_specs, ref_sequence = Reference.reconf_sched state in
+  Alcotest.(check bool) "same specs as the reference" true (specs = ref_specs);
+  Alcotest.(check (list int)) "same sequence as the reference" ref_sequence
+    sequence;
   Alcotest.(check int) "sequence covers every reconfiguration"
     (Array.length specs) (List.length sequence);
   let sorted = List.sort compare sequence in
@@ -354,7 +368,7 @@ let test_reconf_sched_sequences_all () =
     (fun i si ->
       Array.iteri
         (fun j sj ->
-          if i <> j && Resched_core.Timing.must_precede state si sj then
+          if i <> j && Reference.must_precede state si sj then
             Alcotest.(check bool)
               (Printf.sprintf "reconf %d before %d" i j)
               true
@@ -444,71 +458,97 @@ let schedule_fingerprint (s : Schedule.t) =
     s.Schedule.makespan,
     s.Schedule.resource_scale )
 
-(* Property: the optimized engine (restart-context arena + incremental
-   timing solver + marking-based mappings) produces bit-identical
-   schedules to the from-scratch oracle path, across repeated arena
-   reuse and across the resource-scale lattice — and they validate. *)
-let prop_incremental_engine_bit_identical =
+(* Property: the production restart kernel — with a caller context
+   (arena reuse across the shrink lattice, revisits included) and
+   without one (a transient context) — produces bit-identical schedules
+   to the reference pipeline, under every ordering policy and with
+   module reuse on and off. Under [Random] all three sides get the same
+   seeded RNG and must leave it in the same state. *)
+let prop_schedule_once_matches_reference =
   QCheck.Test.make ~count:15
-    ~name:"incremental engine = from-scratch oracle (bit-identical)"
+    ~name:"schedule_once = reference pipeline"
     QCheck.(pair int (int_range 5 30))
     (fun (seed, tasks) ->
       let rng = Rng.create (seed lxor 0x5ca1e) in
       let inst = Suite.instance rng ~tasks in
       let ctx = Pa.Context.create inst in
-      let scales =
-        [ 1.0; 0.9; 1.0; 0.81; 0.9; 1.0 ]
-        (* revisits exercise the per-scale memo and State.reset *)
+      let lattice k = Pa.default_config.Pa.shrink_factor ** float_of_int k in
+      (* Revisits exercise the per-scale memo and State.reset. *)
+      let scales = List.map lattice [ 0; 1; 0; 2; 3; 1; 0 ] in
+      let orderings i =
+        let random () = Regions_define.Random (Rng.create (seed + i)) in
+        [
+          (fun () -> Regions_define.By_efficiency);
+          (fun () -> Regions_define.By_cost);
+          (fun () -> Regions_define.Topological);
+          random;
+        ]
+      in
+      let next_draw = function
+        | Regions_define.Random r -> Some (Rng.bits64 r)
+        | _ -> None
       in
       List.for_all
         (fun (i, resource_scale) ->
-          let config =
-            { Pa.default_config with
-              Pa.ordering = Regions_define.Random (Rng.create (seed + i))
-            }
-          in
-          let fast =
-            Pa.schedule_once ~config ~resource_scale ~ctx ~incremental:true
-              inst
-          in
-          let oracle =
-            Pa.schedule_once
-              ~config:
-                { config with
-                  Pa.ordering = Regions_define.Random (Rng.create (seed + i))
-                }
-              ~resource_scale ~incremental:false inst
-          in
-          schedule_fingerprint fast = schedule_fingerprint oracle
-          && Validate.check fast = Ok ())
+          List.for_all
+            (fun module_reuse ->
+              List.for_all
+                (fun ordering ->
+                  let run f =
+                    let ordering = ordering () in
+                    let config =
+                      { Pa.default_config with Pa.ordering; module_reuse }
+                    in
+                    let sched = f ~config in
+                    (schedule_fingerprint sched, sched, next_draw ordering)
+                  in
+                  let with_ctx, sched, draw_ctx =
+                    run (fun ~config ->
+                        Pa.schedule_once ~config ~resource_scale ~ctx inst)
+                  in
+                  let transient, _, draw_transient =
+                    run (fun ~config ->
+                        Pa.schedule_once ~config ~resource_scale inst)
+                  in
+                  let reference, _, draw_reference =
+                    run (fun ~config ->
+                        Reference.schedule_once ~config ~resource_scale inst)
+                  in
+                  with_ctx = reference && transient = reference
+                  && draw_ctx = draw_reference
+                  && draw_transient = draw_reference
+                  && Validate.check sched = Ok ())
+                (orderings i))
+            [ false; true ])
         (List.mapi (fun i s -> (i, s)) scales))
 
-(* Property: the randomized search's candidate stream is unchanged by
-   the engine switch — same best makespan, same iteration count, same
-   improvement trace at a fixed (seed, min_iterations, budget = 0). *)
-let prop_par_stream_identical =
-  QCheck.Test.make ~count:10
-    ~name:"PA-R stream identical under incremental engine"
-    QCheck.(pair int (int_range 5 25))
-    (fun (seed, tasks) ->
-      let rng = Rng.create (seed lxor 0xbeef) in
-      let inst = Suite.instance rng ~tasks in
-      let run incremental =
-        Pa_random.run ~seed ~min_iterations:12 ~incremental ~budget_seconds:0.
-          inst
+(* Property: the full deterministic PA — shrink-retry loop, floorplan
+   check, all-software fallback — matches the reference loop attempt
+   for attempt, and both results validate. The saturated half-size
+   fabric makes the shrink loop actually retry. *)
+let prop_pa_run_matches_reference =
+  QCheck.Test.make ~count:12 ~name:"Pa.run = reference PA (bit-identical)"
+    QCheck.(triple int (int_range 5 30) bool)
+    (fun (seed, tasks, saturated) ->
+      let rng = Rng.create (seed lxor 0xa11ce) in
+      let inst =
+        if saturated then
+          Suite.instance rng ~tasks ~arch:Arch.microzed
+            ~params:
+              { Suite.default_params with Suite.clb_min = 1000; clb_max = 2500 }
+        else Suite.instance rng ~tasks
       in
-      let a = run true and b = run false in
-      let ms o =
-        match o.Pa_random.schedule with
-        | Some s -> Schedule.makespan s
-        | None -> -1
-      in
-      ms a = ms b
-      && a.Pa_random.iterations = b.Pa_random.iterations
-      && List.map (fun p -> (p.Pa_random.iteration, p.Pa_random.makespan))
-           a.Pa_random.trace
-         = List.map (fun p -> (p.Pa_random.iteration, p.Pa_random.makespan))
-             b.Pa_random.trace)
+      List.for_all
+        (fun module_reuse ->
+          let config = { Pa.default_config with Pa.module_reuse } in
+          let sched, stats = Pa.run ~config inst in
+          let ref_sched, ref_attempts = Reference.run ~config inst in
+          schedule_fingerprint sched = schedule_fingerprint ref_sched
+          && sched.Schedule.floorplan = ref_sched.Schedule.floorplan
+          && stats.Pa.attempts = ref_attempts
+          && Validate.check sched = Ok ()
+          && Validate.check ref_sched = Ok ())
+        [ false; true ])
 
 let () =
   Alcotest.run "scheduler"
@@ -561,7 +601,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_pa_valid;
           QCheck_alcotest.to_alcotest prop_schedule_once_valid_any_ordering;
           QCheck_alcotest.to_alcotest prop_cache_matches_fresh_check;
-          QCheck_alcotest.to_alcotest prop_incremental_engine_bit_identical;
-          QCheck_alcotest.to_alcotest prop_par_stream_identical;
+          QCheck_alcotest.to_alcotest prop_schedule_once_matches_reference;
+          QCheck_alcotest.to_alcotest prop_pa_run_matches_reference;
         ] );
     ]

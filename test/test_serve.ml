@@ -904,6 +904,58 @@ let test_transport_framing_guards () =
     | _ -> None);
   Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays))
 
+(* An inline instance the platform constructors reject (here a negative
+   task time) must not wedge the event loop: it gets a [Failed] response
+   (status "error" on the wire) naming the offending line, the parse error is counted, and the
+   connection keeps serving the requests behind it — down to the
+   shutdown ack. *)
+let test_transport_malformed_instance () =
+  let sim = make_tsim (Server.config ~capacity:4 ()) in
+  let c = add_client sim in
+  let bad_instance =
+    "arch processors 1 recfreq 3200 device minifab\ntasks 1\ntask 0\n\
+     impl sw time -5\n"
+  in
+  send c
+    (String.trim
+       (Json.to_string ~indent:0
+          (Json.Obj
+             [
+               ("op", Json.String "schedule");
+               ("id", Json.String "bad");
+               ("instance", Json.String bad_instance);
+             ])));
+  send c {|{"op": "metrics", "id": "m"}|};
+  send c {|{"op": "shutdown", "id": "q"}|};
+  let collected = ref [] in
+  poll_until sim ~what:"every line answered" (fun () ->
+      collected := !collected @ recv c;
+      List.length !collected >= 3);
+  (match List.map response_of_line !collected with
+  | [ (bad_id, bad_status, bad); (m_id, m_status, m); (q_id, q_status, _) ] ->
+    Alcotest.(check (pair string string)) "malformed instance answered"
+      ("bad", "error") (bad_id, bad_status);
+    let message =
+      Option.value ~default:""
+        (Option.bind (Json.member "message" bad) Json.get_string)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "message %S names the line" message)
+      true
+      (String.starts_with ~prefix:"instance: line 4: " message);
+    Alcotest.(check (pair string string)) "metrics answered" ("m", "metrics")
+      (m_id, m_status);
+    Alcotest.(check (option int)) "one parse error counted" (Some 1)
+      (Option.bind
+         (Json.path [ "metrics"; "requests"; "parse_errors" ] m)
+         Json.get_int);
+    Alcotest.(check (pair string string)) "shutdown acknowledged"
+      ("q", "shutdown") (q_id, q_status)
+  | _ ->
+    Alcotest.failf "expected three responses, got %d"
+      (List.length !collected));
+  Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays))
+
 (* The DRR quantum is honored: with quantum 2 the rotation serves two
    per source before moving on; with the default 1 it alternates. *)
 let test_drr_quantum () =
@@ -993,5 +1045,7 @@ let () =
           Alcotest.test_case "framing guards keep the connection" `Quick
             test_transport_framing_guards;
           Alcotest.test_case "DRR quantum" `Quick test_drr_quantum;
+          Alcotest.test_case "malformed instance does not wedge" `Quick
+            test_transport_malformed_instance;
         ] );
     ]

@@ -916,6 +916,9 @@ let iteration_comparison () =
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
   Printf.bprintf buf "  \"min_iterations\": %d,\n" iter_min;
+  (* The host's core count, so a throughput figure is read against the
+     machine that produced it (the section itself runs at jobs=1). *)
+  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   Buffer.add_string buf "  \"groups\": [\n";
   List.iteri
     (fun i r ->

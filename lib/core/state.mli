@@ -3,8 +3,14 @@
     Holds the current implementation choice per task, the *augmented*
     dependency graph (application edges plus the ordering edges inserted
     when tasks share a reconfigurable region or a processor), the set of
-    reconfigurable regions built so far, and the CPM time windows, which
-    must be refreshed after any change ({!refresh_windows}).
+    reconfigurable regions built so far, and the CPM time windows.
+
+    Every mutation goes through this module ({!add_edge}, {!set_impl},
+    {!assign_to_region}, {!switch_to_sw}, {!switch_to_hw}): each records
+    which windows it may have moved, and {!refresh_windows} settles
+    those changes by change-pruned longest-path maintenance instead of a
+    full CPM pass. Writing [dep] or [impl_of] directly is forbidden — the
+    windows would silently go stale.
 
     A state can be recycled across the restart iterations of the
     randomized scheduler: {!reset} restores every mutable part to the
@@ -23,9 +29,8 @@ type region = {
 }
 
 type scratch
-(** Reusable workspaces for allocation-free pipeline steps: CPM buffers
-    + durations for window refreshes, plus size-[n] int/float/bool
-    arrays the steps borrow for sorting and marking. *)
+(** Reusable workspaces for allocation-free pipeline steps: size-[n]
+    int/float/bool arrays the steps borrow for sorting and marking. *)
 
 val sc_tasks : scratch -> int array
 (** Size-[n] int workspace. Contents are clobbered by any pipeline step
@@ -42,13 +47,20 @@ val sc_mark : scratch -> bool array
 (** Second size-[n] bool workspace (also the cycle-guard mark array —
     any {!assign_to_region} clobbers it). Same borrowing rule. *)
 
+type windows
+(** The CPM windows with their pending changes (see {!refresh_windows}). *)
+
 type t = {
   inst : Resched_platform.Instance.t;
   max_res : Resched_fabric.Resource.t;
       (** virtually reduced FPGA availability for this attempt *)
   cost : Cost.t;
-  impl_of : int array;  (** current implementation index per task *)
-  dep : Graph.t;  (** augmented dependency graph (owned copy) *)
+  impl_of : int array;
+      (** current implementation index per task. Read-only: change it
+          with {!set_impl}. *)
+  dep : Graph.t;
+      (** augmented dependency graph (owned copy). Read-only: insert
+          edges with {!add_edge}. *)
   mutable regions_arr : region array;
       (** region slots; only the first [nregions] entries are live.
           Prefer {!iter_regions}/{!nth_region}/{!region_list}. *)
@@ -57,10 +69,7 @@ type t = {
       (** running sum of all regions' requirements *)
   region_of : int array;  (** region id or -1 *)
   processor_of : int array;  (** processor id or -1 *)
-  mutable cpm : Cpm.t;
-      (** windows for the current durations/graph. {!refresh_windows}
-          recycles one set of CPM arrays, so the record is only valid
-          until the next refresh (copy what must survive). *)
+  win : windows;
   scratch : scratch;
 }
 
@@ -84,10 +93,17 @@ val reset : t -> impl_of:int array -> base_cpm:Cpm.t -> unit
     [impl_of] and [base_cpm] must correspond to this state's
     [max_res]/[cost] (they come from the same {!Pa.Context} entry). *)
 
+val load_windows : t -> Cpm.t -> unit
+(** Replace the windows with a CPM computed elsewhere for this state's
+    current [dep] and durations, dropping any pending change. {!reset}
+    loads the base windows through it; the test-only reference pipeline
+    uses it to run on full {!Cpm.compute} passes. *)
+
 val impl : t -> int -> Resched_platform.Impl.t
 (** The currently selected implementation of a task. *)
 
 val duration : t -> int -> int
+(** Duration of the currently selected implementation. *)
 
 val is_hw : t -> int -> bool
 (** Is the currently selected implementation a hardware one? *)
@@ -96,11 +112,37 @@ val hw_impls : t -> int -> (int * Resched_platform.Impl.t) list
 (** [Instance.hw_impls] for this state's instance, answered from a list
     cached at creation (same contents, no allocation). *)
 
+val add_edge : t -> int -> int -> unit
+(** Insert an edge into [dep] and record it for the next
+    {!refresh_windows}. Duplicates are ignored. The caller guarantees
+    acyclicity (a cycle surfaces as [Graph.Cycle] from the next
+    refresh). *)
+
+val set_impl : t -> task:int -> int -> unit
+(** Select the task's implementation by index and record the duration
+    change for the next {!refresh_windows}. *)
+
 val refresh_windows : t -> unit
-(** Recompute CPM windows for the current durations and augmented graph. *)
+(** Settle the changes recorded since the last settle, so the windows
+    equal a full CPM pass over the current [dep] and durations — bit for
+    bit, every field. The work is proportional to the nodes whose value
+    moves and their neighbours. Until then the accessors below return
+    the windows as of the last settle (the mutation functions that
+    refresh say so). Raises [Graph.Cycle] if a recorded edge closed a
+    cycle. *)
 
 val t_min : t -> int -> int
+(** Earliest start ([T_MIN]). *)
+
 val t_max : t -> int -> int
+(** Latest finish ([T_MAX] = makespan minus the longest path after the
+    task). *)
+
+val makespan : t -> int
+(** Length of the critical path. *)
+
+val critical : t -> int -> bool
+(** Zero slack: [t_max - t_min = duration]. *)
 
 val regions : t -> region list
 (** Regions in creation order (allocates one list per call). *)
@@ -144,7 +186,7 @@ val switch_to_sw : t -> task:int -> unit
 
 val switch_to_hw : t -> task:int -> impl_idx:int -> region -> unit
 (** Software-balancing move (Sec. V-D): adopt the given hardware
-    implementation and place the task on [region]. *)
+    implementation, refresh, and place the task on [region]. *)
 
 val region_list : t -> region array
 (** Regions in creation order. *)

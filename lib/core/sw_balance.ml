@@ -39,7 +39,7 @@ let try_move state ~task =
         (* Tentatively adopt the implementation so the window check sees
            the hardware duration, then commit or roll back. *)
         let saved = state.State.impl_of.(task) in
-        state.State.impl_of.(task) <- impl_idx;
+        State.set_impl state ~task impl_idx;
         State.refresh_windows state;
         let ok =
           Regions_define.region_compatible_non_critical state ~task region
@@ -48,11 +48,11 @@ let try_move state ~task =
           match State.assign_to_region state ~task region with
           | () -> ()
           | exception Invalid_argument _ ->
-            state.State.impl_of.(task) <- saved;
+            State.set_impl state ~task saved;
             State.refresh_windows state;
             attempt (i + 1)
         else begin
-          state.State.impl_of.(task) <- saved;
+          State.set_impl state ~task saved;
           State.refresh_windows state;
           attempt (i + 1)
         end)

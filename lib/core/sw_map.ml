@@ -15,8 +15,8 @@ let sequence_on_processor state ~task assigned =
              || (Graph.reachable state.State.dep u).(task))
       then begin
         if State.t_min state u <= State.t_min state task then
-          Graph.add_edge state.State.dep u task
-        else Graph.add_edge state.State.dep task u
+          State.add_edge state u task
+        else State.add_edge state task u
       end)
     assigned
 
@@ -34,11 +34,11 @@ let sequence_on_processor_marked state ~task ~fwd ~anc assigned =
     (fun u ->
       if not (fwd.(u) || anc.(u)) then begin
         if State.t_min state u <= State.t_min state task then begin
-          Graph.add_edge dep u task;
+          State.add_edge state u task;
           Graph.mark_coreachable dep u anc
         end
         else begin
-          Graph.add_edge dep task u;
+          State.add_edge state task u;
           Graph.mark_reachable dep u fwd
         end
       end)

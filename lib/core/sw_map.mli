@@ -13,8 +13,11 @@ val run : ?incremental:bool -> State.t -> unit
     each (task, assigned) pair from incrementally maintained descendant
     and ancestor marks instead of two reachability DFS per pair — the
     decisions, inserted edges and resulting schedule are bit-identical
-    (property-tested); [false] keeps the pairwise-DFS formulation,
-    which the test-only reference pipeline uses. *)
+    (property-tested); [false] keeps the pairwise-DFS formulation as
+    that property's oracle. Edges go in through {!State.add_edge}; the
+    windows are settled once per task, after its edges, so every
+    ordering decision for a task reads the windows as they stood before
+    its edges. *)
 
 val delay : State.t -> task:int -> last_end:int -> int
 (** λ_p for a processor whose currently-last task ends at [last_end]. *)

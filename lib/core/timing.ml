@@ -1,5 +1,4 @@
 module Graph = Resched_taskgraph.Graph
-module Cpm = Resched_taskgraph.Cpm
 module Instance = Resched_platform.Instance
 module Impl = Resched_platform.Impl
 
@@ -25,7 +24,6 @@ let same_module (a : Impl.t) (b : Impl.t) =
   | _ -> false
 
 let reconf_specs ?(module_reuse = false) state =
-  let critical = state.State.cpm.Cpm.critical in
   let specs = ref [] in
   State.iter_regions state (fun (r : State.region) ->
       let rec pairs = function
@@ -41,7 +39,7 @@ let reconf_specs ?(module_reuse = false) state =
                 t_in = a;
                 t_out = b;
                 dur = r.State.reconf;
-                critical = critical.(b);
+                critical = State.critical state b;
               }
               :: !specs;
           pairs (b :: tl)
@@ -257,7 +255,7 @@ module Solver = struct
       Array.blit r 0 t_min 0 total);
     let head = ref 0 and tail = ref 0 in
     (* Node ids in [adj] were validated when the base adjacency was
-       built, so unchecked accesses are safe (cf. [Cpm.compute_with]).
+       built, so unchecked accesses are safe.
        Defined outside the drain loop: a closure per popped node is real
        allocation in this, the single hottest loop of the restart
        kernel. *)

@@ -38,6 +38,11 @@ val succs_rev : t -> int -> int list
     hot read-only loops whose result does not depend on edge order. *)
 
 val preds : t -> int -> int list
+
+val preds_rev : t -> int -> int list
+(** Dual of {!succs_rev}: the predecessor list in reverse insertion
+    order, shared with the graph (never mutate it). *)
+
 val edge_count : t -> int
 val edges : t -> (int * int) list
 (** All edges, ordered by source node. *)

@@ -14,6 +14,28 @@ let range n = List.init n Fun.id
 
 let by_t_min state a b = compare (State.t_min state a) (State.t_min state b)
 
+(* The reference never reads an incrementally maintained window: after
+   every mutation it takes a full CPM pass over the state's graph and
+   durations and loads it over whatever the state settled. *)
+let full_cpm state =
+  let durations =
+    Array.init (Instance.size state.State.inst) (fun u ->
+        (State.impl state u).Impl.time)
+  in
+  let cpm = Cpm.compute state.State.dep ~durations in
+  State.load_windows state cpm;
+  cpm
+
+let refresh state = ignore (full_cpm state : Cpm.t)
+
+let assign state ~task region =
+  State.assign_to_region state ~task region;
+  refresh state
+
+let to_sw state ~task =
+  State.switch_to_sw state ~task;
+  refresh state
+
 (* ------------------------------------------------------------------ *)
 (* Step 3: regions definition (Sec. V-C)                               *)
 
@@ -35,24 +57,24 @@ let place_critical ?module_reuse state ~task =
       ~compatible:(Regions_define.region_compatible_critical ?module_reuse state
                      ~task)
   with
-  | Some region -> State.assign_to_region state ~task region
+  | Some region -> assign state ~task region
   | None when State.fits_on_fpga state need ->
-    State.assign_to_region state ~task (State.new_region state need)
-  | None -> State.switch_to_sw state ~task
+    assign state ~task (State.new_region state need)
+  | None -> to_sw state ~task
 
 (* Non-critical tasks maximize FPGA utilization: a fresh region first,
    then reuse, then software. *)
 let place_non_critical state ~task =
   let need = (State.impl state task).Impl.res in
   if State.fits_on_fpga state need then
-    State.assign_to_region state ~task (State.new_region state need)
+    assign state ~task (State.new_region state need)
   else
     match
       cheapest_region state
         ~compatible:(Regions_define.region_compatible_non_critical state ~task)
     with
-    | Some region -> State.assign_to_region state ~task region
-    | None -> State.switch_to_sw state ~task
+    | Some region -> assign state ~task region
+    | None -> to_sw state ~task
 
 let sort_tasks state ordering tasks =
   let efficiency u = Cost.efficiency state.State.cost (State.impl state u) in
@@ -66,7 +88,7 @@ let sort_tasks state ordering tasks =
   | Regions_define.Random rng -> Rng.shuffle rng tasks
 
 let regions_define ?module_reuse ~ordering state =
-  let critical = Array.copy state.State.cpm.Cpm.critical in
+  let critical = (full_cpm state).Cpm.critical in
   let hw_tasks =
     List.filter (State.is_hw state) (range (Instance.size state.State.inst))
   in
@@ -117,18 +139,18 @@ let try_move state ~task =
         (* Adopt the implementation tentatively so the window check sees
            the hardware duration; roll back if the region refuses. *)
         let saved = state.State.impl_of.(task) in
-        state.State.impl_of.(task) <- impl_idx;
-        State.refresh_windows state;
+        State.set_impl state ~task impl_idx;
+        refresh state;
         let placed =
           Regions_define.region_compatible_non_critical state ~task region
           &&
-          match State.assign_to_region state ~task region with
+          match assign state ~task region with
           | () -> true
           | exception Invalid_argument _ -> false
         in
         if not placed then begin
-          state.State.impl_of.(task) <- saved;
-          State.refresh_windows state;
+          State.set_impl state ~task saved;
+          refresh state;
           attempt rest
         end)
   in
@@ -143,6 +165,46 @@ let sw_balance state =
   |> List.iter (fun task ->
          if State.t_min state task > tot_rec_time state then
            try_move state ~task)
+
+(* ------------------------------------------------------------------ *)
+(* Steps 5-6: start/end times and software mapping (Secs. V-E, V-F)    *)
+
+(* Software tasks by window start, each onto the processor that delays
+   it least (the first among equals), then totally ordered against every
+   task already there: a dependency path either way already orders a
+   pair, otherwise an edge follows the current window order. *)
+let sw_map state =
+  let processors = state.State.inst.Instance.arch.Arch.processors in
+  let on_processor = Array.make processors [] in
+  let end_of u = State.t_min state u + State.duration state u in
+  List.filter
+    (fun u -> not (State.is_hw state u))
+    (range (Instance.size state.State.inst))
+  |> List.stable_sort (by_t_min state)
+  |> List.iter (fun task ->
+         let delay p =
+           Sw_map.delay state ~task
+             ~last_end:(List.fold_left (fun acc u -> max acc (end_of u)) 0
+                          on_processor.(p))
+         in
+         let p =
+           List.fold_left
+             (fun best p -> if delay p < delay best then p else best)
+             0 (range processors)
+         in
+         List.iter
+           (fun u ->
+             let dep = state.State.dep in
+             if not ((Graph.reachable dep task).(u)
+                     || (Graph.reachable dep u).(task))
+             then
+               if State.t_min state u <= State.t_min state task then
+                 State.add_edge state u task
+               else State.add_edge state task u)
+           on_processor.(p);
+         state.State.processor_of.(task) <- p;
+         on_processor.(p) <- task :: on_processor.(p);
+         refresh state)
 
 (* ------------------------------------------------------------------ *)
 (* Step 7: reconfigurations scheduling (Sec. V-G)                      *)
@@ -324,15 +386,14 @@ let schedule_once ?(config = Pa.default_config) ?(resource_scale = 1.0) inst =
   let module_reuse = config.Pa.module_reuse in
   regions_define ~module_reuse ~ordering:config.Pa.ordering state;
   sw_balance state;
-  (* Steps 5-6: start/end times and the pairwise-DFS software mapping. *)
-  Sw_map.run ~incremental:false state;
+  sw_map state;
   let specs, sequence = reconf_sched ~module_reuse state in
   schedule_of_state ~module_reuse ~resource_scale state specs sequence
 
 let all_software_schedule inst =
   let impl_of = Array.init (Instance.size inst) (Instance.fastest_sw inst) in
   let state = State.create inst ~impl_of () in
-  Sw_map.run ~incremental:false state;
+  sw_map state;
   let sched =
     schedule_of_state ~module_reuse:false ~resource_scale:1.0 state [||] []
   in

@@ -5,8 +5,10 @@
 
     Every step works on a fresh {!Resched_core.State.t}, builds plain
     lists, sorts with [List.stable_sort], answers dependency queries
-    with a fresh graph traversal and re-times the controller sequence
-    from scratch. It is slow and allocation-heavy by design; for the
+    with a fresh graph traversal, replaces the windows with a full
+    {!Resched_taskgraph.Cpm.compute} pass after every mutation
+    ({!Resched_core.State.load_windows}) and re-times the controller
+    sequence from scratch. It is slow and allocation-heavy by design; for the
     same inputs it must produce bit-identical schedules. *)
 
 open Resched_core
@@ -25,6 +27,11 @@ val sw_balance : State.t -> unit
     lowest window start first, move back to the first region that hosts
     their cheapest fitting implementation once they start after
     [totRecTime] (eq. 6). *)
+
+val sw_map : State.t -> unit
+(** Steps 5-6 (Secs. V-E, V-F): software tasks by window start, each on
+    the processor that delays it least, ordered against that
+    processor's tasks by a pairwise DFS. *)
 
 val resolve : State.t -> reconfigs:Timing.reconf_spec array ->
   sequence:int list -> Timing.resolved
@@ -48,9 +55,7 @@ val reconf_sched : ?module_reuse:bool -> State.t ->
 
 val schedule_once : ?config:Pa.config -> ?resource_scale:float ->
   Resched_platform.Instance.t -> Schedule.t
-(** Steps 1-7 over a fresh state: what {!Pa.schedule_once} returns.
-    Steps 5-6 (Secs. V-E, V-F) are {!Sw_map.run} with its pairwise-DFS
-    ordering test ([~incremental:false]). *)
+(** Steps 1-7 over a fresh state: what {!Pa.schedule_once} returns. *)
 
 val run : ?config:Pa.config -> Resched_platform.Instance.t ->
   Schedule.t * int

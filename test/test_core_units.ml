@@ -21,6 +21,9 @@ module Impl_select = Resched_core.Impl_select
 module Sw_map = Resched_core.Sw_map
 module Reconf_sched = Resched_core.Reconf_sched
 module Reference = Resched_reference.Reference
+module Cpm = Resched_taskgraph.Cpm
+module Regions_define = Resched_core.Regions_define
+module Sw_balance = Resched_core.Sw_balance
 
 let good_schedule () =
   let rng = Rng.create 2 in
@@ -535,6 +538,167 @@ let prop_validator_catches_corruption =
          || Validate.check { sched with Schedule.reconfigurations = [] }
             <> Ok ()))
 
+(* ---- change-pruned windows = full CPM ---- *)
+
+(* The state's windows against a from-scratch CPM over its graph and the
+   durations of its selected implementations: every field, bit for bit. *)
+let windows_match_cpm state =
+  let n = Instance.size state.State.inst in
+  let durations = Array.init n (fun u -> (State.impl state u).Impl.time) in
+  let cpm = Cpm.compute state.State.dep ~durations in
+  Array.init n (State.duration state) = durations
+  && Array.init n (State.t_min state) = cpm.Cpm.t_min
+  && Array.init n (State.t_max state) = cpm.Cpm.t_max
+  && State.makespan state = cpm.Cpm.makespan
+  && Array.init n (State.critical state) = cpm.Cpm.critical
+
+let initial_windows inst ~impl_of =
+  Cpm.compute inst.Instance.graph
+    ~durations:
+      (Array.init (Instance.size inst) (fun u ->
+           (Instance.impl inst ~task:u ~idx:impl_of.(u)).Impl.time))
+
+(* Random mutation sequences through every public mutation: acyclic
+   edge batches, implementation switches up and down (alone, batched,
+   and as a tentative switch rolled back), region placements,
+   software fallbacks and mid-sequence resets. Each check follows a
+   settle. *)
+let prop_windows_match_cpm =
+  QCheck.Test.make ~count:60 ~name:"incremental windows = Cpm.compute"
+    QCheck.(pair int (int_range 3 40))
+    (fun (seed, tasks) ->
+      let rng = Rng.create (seed lxor 0x57A7E) in
+      let inst = Suite.instance rng ~tasks in
+      let impl_of =
+        Impl_select.run inst ~max_res:(Arch.max_res inst.Instance.arch)
+      in
+      let base = initial_windows inst ~impl_of in
+      let state = State.create inst ~impl_of () in
+      let n = tasks in
+      let ok = ref (windows_match_cpm state) in
+      let settle () =
+        State.refresh_windows state;
+        ok := !ok && windows_match_cpm state
+      in
+      let random_impl u =
+        Rng.int rng (Array.length inst.Instance.impls.(u))
+      in
+      let add_acyclic_edge () =
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u <> v && not (Graph.reachable state.State.dep v).(u) then
+          State.add_edge state u v
+      in
+      for _ = 1 to 80 do
+        match Rng.int rng 9 with
+        | 0 | 1 ->
+          for _ = 0 to Rng.int rng 4 do
+            add_acyclic_edge ()
+          done;
+          settle ()
+        | 2 ->
+          let u = Rng.int rng n in
+          State.set_impl state ~task:u (random_impl u);
+          settle ()
+        | 3 ->
+          (* A mixed batch: edges and switches either way, one settle. *)
+          for _ = 0 to Rng.int rng 3 do
+            add_acyclic_edge ();
+            let u = Rng.int rng n in
+            State.set_impl state ~task:u (random_impl u)
+          done;
+          settle ()
+        | 4 ->
+          (* Sw_balance's tentative switch, then its rollback. *)
+          let u = Rng.int rng n in
+          let saved = state.State.impl_of.(u) in
+          State.set_impl state ~task:u (random_impl u);
+          settle ();
+          State.set_impl state ~task:u saved;
+          settle ()
+        | 5 | 6 ->
+          let u = Rng.int rng n in
+          if State.is_hw state u && state.State.region_of.(u) < 0 then begin
+            let need = (State.impl state u).Impl.res in
+            let region =
+              if State.region_count state > 0 && Rng.bool rng then
+                State.nth_region state (Rng.int rng (State.region_count state))
+              else State.new_region state need
+            in
+            (try State.assign_to_region state ~task:u region
+             with Invalid_argument _ -> ());
+            settle ()
+          end
+        | 7 ->
+          State.switch_to_sw state ~task:(Rng.int rng n);
+          ok := !ok && windows_match_cpm state
+        | _ ->
+          if Rng.int rng 4 = 0 then begin
+            State.reset state ~impl_of ~base_cpm:base;
+            ok := !ok && windows_match_cpm state
+          end
+          else settle ()
+      done;
+      !ok)
+
+(* The same check at every step boundary of the production pipeline,
+   composed exactly as [Pa.schedule_candidate] composes it (the final
+   state is compared with a real candidate's), over random instances,
+   orderings and lattice scales; revisited scales recycle their arena
+   state through [State.reset]. *)
+let prop_pipeline_windows_match_cpm =
+  QCheck.Test.make ~count:20 ~name:"pipeline step windows = Cpm.compute"
+    QCheck.(triple int (int_range 5 40) (int_range 0 3))
+    (fun (seed, tasks, ord) ->
+      let rng = Rng.create (seed lxor 0x0B0E) in
+      let inst = Suite.instance rng ~tasks in
+      let ctx = Pa.Context.create inst and twin = Pa.Context.create inst in
+      let arena = Reconf_sched.make_arena () in
+      let ok = ref true in
+      List.iter
+        (fun k ->
+          let resource_scale =
+            Pa.default_config.Pa.shrink_factor ** float_of_int k
+          in
+          let ordering () =
+            match ord with
+            | 0 -> Regions_define.By_efficiency
+            | 1 -> Regions_define.By_cost
+            | 2 -> Regions_define.Topological
+            | _ -> Regions_define.Random (Rng.create (seed + k))
+          in
+          let state = Pa.Context.state ctx ~resource_scale in
+          ok := !ok && windows_match_cpm state;
+          Regions_define.run ~ordering:(ordering ()) state;
+          ok := !ok && windows_match_cpm state;
+          Sw_balance.run state;
+          ok := !ok && windows_match_cpm state;
+          Sw_map.run state;
+          ok := !ok && windows_match_cpm state;
+          let plan = Reconf_sched.run_hot arena state in
+          let c =
+            Pa.schedule_candidate
+              ~config:{ Pa.default_config with Pa.ordering = ordering () }
+              ~resource_scale ~ctx:twin inst
+          in
+          let placed (sl : Schedule.task_slot) =
+            (sl.Schedule.impl_idx, sl.Schedule.placement)
+          in
+          let mine u =
+            ( state.State.impl_of.(u),
+              if state.State.region_of.(u) >= 0 then
+                Schedule.On_region state.State.region_of.(u)
+              else Schedule.On_processor (max 0 state.State.processor_of.(u))
+            )
+          in
+          ok :=
+            !ok
+            && Pa.candidate_makespan c
+               = plan.Reconf_sched.p_times.Timing.makespan
+            && Array.map placed (Pa.materialize c).Schedule.slots
+               = Array.init tasks mine)
+        [ 0; 1; 0; 2; 6; 1; 0 ];
+      !ok)
+
 let () =
   Alcotest.run "core-units"
     [
@@ -609,5 +773,9 @@ let () =
           Alcotest.test_case "PA deterministic" `Quick test_pa_deterministic;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_validator_catches_corruption ] );
+        [
+          QCheck_alcotest.to_alcotest prop_validator_catches_corruption;
+          QCheck_alcotest.to_alcotest prop_windows_match_cpm;
+          QCheck_alcotest.to_alcotest prop_pipeline_windows_match_cpm;
+        ] );
     ]

@@ -441,26 +441,105 @@ let test_campaign_retry_weaker () =
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
+(* When the first fired event struck, in the static schedule (the
+   executor fires events in order of strike time, so every later repair
+   happens at or after it). *)
+let strike_time (sched : Schedule.t) = function
+  | Fault.Overrun { task; _ } -> sched.Schedule.slots.(task).Schedule.end_
+  | Fault.Region_death { at; _ } -> at
+  | Fault.Reconf_fail { region; t_in; t_out; _ } ->
+    (List.find
+       (fun (rc : Schedule.reconfiguration) ->
+         rc.Schedule.region = region && rc.Schedule.t_in = t_in
+         && rc.Schedule.t_out = t_out)
+       sched.Schedule.reconfigurations)
+      .Schedule.r_start
+
+let replay_case (seed, tasks, pidx) =
+  let policy = List.nth policies pidx in
+  let sched = fixture ~tasks (1 + (seed mod 50)) in
+  let spec =
+    {
+      Fault.default_spec with
+      Fault.p_reconf_fail = 0.5;
+      p_overrun = 0.3;
+      p_region_death = 0.3;
+    }
+  in
+  let plan = Fault.sample (Rng.create (seed * 31 + 7)) ~spec sched in
+  (policy, sched, Executor.replay_faults ~policy ~plan sched)
+
+let migrated_tasks (t : Executor.fault_trial) =
+  List.filter_map
+    (function Repair.Migrated { task; _ } -> Some task | _ -> None)
+    t.Executor.actions
+
+(* What a replay may and may not do to the static plan (Repair's policy
+   contract):
+   - the last schedule standing validates, survived or not;
+   - no repair rewrites the past: an activity the static plan starts at
+     or after the first fault still starts at or after it;
+   - [Retry] and [Sw_fallback] only right-shift: a task that was not
+     migrated never starts earlier than planned, so without a migration
+     a surviving trial ends no earlier than the static schedule.
+   A repair may legitimately end *earlier* than the static schedule: a
+   migrated task is re-placed on a processor from the fault instant and
+   no longer waits for its region's reconfiguration chain, and
+   [Resched_tail] re-times the whole suffix from the fault instant,
+   reclaiming the slack that dropped reconfigurations leave. *)
+let replay_respects_contract (policy, (sched : Schedule.t), t) =
+  let final = t.Executor.schedule in
+  let migrated = migrated_tasks t in
+  let no_time_travel =
+    match t.Executor.fired with
+    | [] -> final.Schedule.slots = sched.Schedule.slots
+    | first :: _ ->
+      let at = strike_time sched first in
+      Array.for_all2
+        (fun (a : Schedule.task_slot) (b : Schedule.task_slot) ->
+          a.Schedule.start_ < at || b.Schedule.start_ >= at)
+        sched.Schedule.slots final.Schedule.slots
+  in
+  let right_shift =
+    policy = Repair.Resched_tail
+    || Array.for_all Fun.id
+         (Array.mapi
+            (fun u (a : Schedule.task_slot) ->
+              List.mem u migrated
+              || final.Schedule.slots.(u).Schedule.start_ >= a.Schedule.start_)
+            sched.Schedule.slots)
+  in
+  Validate.check final = Ok ()
+  && no_time_travel && right_shift
+  && ((not t.Executor.survived) || migrated <> []
+     || policy = Repair.Resched_tail || t.Executor.degradation >= 1.0)
+
 let prop_repair_always_validates =
   QCheck.Test.make ~count:40
     ~name:"replayed faults always yield validated schedules"
     QCheck.(triple small_int (int_range 8 25) (int_range 0 2))
-    (fun (seed, tasks, pidx) ->
-      let policy = List.nth policies pidx in
-      let sched = fixture ~tasks (1 + (seed mod 50)) in
-      let spec =
-        {
-          Fault.default_spec with
-          Fault.p_reconf_fail = 0.5;
-          p_overrun = 0.3;
-          p_region_death = 0.3;
-        }
-      in
-      let plan = Fault.sample (Rng.create (seed * 31 + 7)) ~spec sched in
-      let t = Executor.replay_faults ~policy ~plan sched in
-      (* Survived or not, the last schedule standing must validate. *)
-      Validate.check t.Executor.schedule = Ok ()
-      && ((not t.Executor.survived) || t.Executor.degradation >= 0.99))
+    (fun input -> replay_respects_contract (replay_case input))
+
+(* Every input of the property's generator whose surviving repair ends
+   earlier than the static schedule. Each must respect the contract, and
+   each earlier end must come from a migration or a [Resched_tail]
+   re-timing — never from a right-shifting policy alone. *)
+let test_earlier_repairs_are_explained () =
+  List.iter
+    (fun ((seed, tasks, pidx) as input) ->
+      let ((policy, _, t) as case) = replay_case input in
+      let label = Printf.sprintf "(%d, %d, %d)" seed tasks pidx in
+      Alcotest.(check bool) (label ^ " respects the contract") true
+        (replay_respects_contract case);
+      Alcotest.(check bool) (label ^ " survives and ends earlier") true
+        (t.Executor.survived && t.Executor.degradation < 1.0);
+      Alcotest.(check bool) (label ^ " earlier end is explained") true
+        (policy = Repair.Resched_tail || migrated_tasks t <> []))
+    [
+      (7, 11, 2); (9, 12, 2); (23, 8, 2); (40, 9, 2); (53, 9, 2);
+      (57, 13, 2); (61, 8, 1); (61, 8, 2); (61, 9, 2); (70, 8, 2);
+      (73, 8, 2); (81, 10, 2); (81, 13, 2); (91, 9, 1); (91, 9, 2);
+    ]
 
 let prop_equal_seeds_equal_campaigns =
   QCheck.Test.make ~count:10 ~name:"campaigns are seed-deterministic"
@@ -513,6 +592,8 @@ let () =
         ] );
       ( "properties",
         [
+          Alcotest.test_case "earlier repairs are explained" `Quick
+            test_earlier_repairs_are_explained;
           QCheck_alcotest.to_alcotest prop_repair_always_validates;
           QCheck_alcotest.to_alcotest prop_equal_seeds_equal_campaigns;
         ] );

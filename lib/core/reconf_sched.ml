@@ -3,11 +3,13 @@ module Graph = Resched_taskgraph.Graph
 (* Critical reconfigurations go first, lowest window start first,
    appended to the controller sequence: their delay hits the makespan in
    full. Non-critical ones then slot into the earliest controller gap at
-   or after their window start; re-resolving the augmented graph shifts
-   whatever follows. Every insertion is clamped to the legal position
-   interval that the dependency-forced pairwise order leaves. The
-   sequence, the unscheduled specs and the timing solver all live in
-   reusable flat buffers, refilled every restart iteration. *)
+   or after their window start; the solver's insertion shifts whatever
+   follows. Every insertion is clamped to the legal position interval
+   that the dependency-forced pairwise order leaves. The sequence, the
+   unscheduled specs and the timing solver all live in reusable flat
+   buffers, refilled every restart iteration; each round reads the
+   solver's live times, which include every reconfiguration sequenced
+   so far. *)
 
 type arena = {
   a_solver : Timing.Solver.t;
@@ -60,6 +62,10 @@ let run_hot ?module_reuse arena state =
   let closure = Graph.closure_with arena.a_closure state.State.dep in
   let solver = arena.a_solver in
   Timing.Solver.reload solver state ~reconfigs:specs;
+  Timing.Solver.start solver;
+  (* Live arrays, updated in place by every insertion (the makespan
+     snapshot is not read). *)
+  let times = Timing.Solver.times solver in
   let seq = arena.a_seq and rem = arena.a_rem in
   let len = ref 0 in
   let insert ~desired k =
@@ -79,11 +85,15 @@ let run_hot ?module_reuse arena state =
       seq.(i) <- seq.(i - 1)
     done;
     seq.(pos) <- k;
-    incr len
+    incr len;
+    Timing.Solver.insert solver
+      ~prev:(if pos > 0 then seq.(pos - 1) else -1)
+      ~k
+      ~next:(if pos + 1 < !len then seq.(pos + 1) else -1)
   in
   (* One phase per criticality class: remaining specs are kept in
      ascending-index order (removal shifts), and each round picks the
-     first strict minimum of the resolved window start. *)
+     first strict minimum of the current window start. *)
   let phase ~critical ~slotted =
     let rcount = ref 0 in
     for k = 0 to nr - 1 do
@@ -93,9 +103,6 @@ let run_hot ?module_reuse arena state =
       end
     done;
     while !rcount > 0 do
-      let times =
-        Timing.Solver.resolve_array solver ~sequence:seq ~len:!len
-      in
       let bi = ref 0 in
       let best_t =
         ref times.Timing.task_end.(specs.(rem.(0)).Timing.t_in)
@@ -121,5 +128,9 @@ let run_hot ?module_reuse arena state =
   in
   phase ~critical:true ~slotted:false;
   phase ~critical:false ~slotted:true;
-  let times = Timing.Solver.resolve_array solver ~sequence:seq ~len:!len in
-  { p_specs = specs; p_seq = seq; p_len = !len; p_times = times }
+  {
+    p_specs = specs;
+    p_seq = seq;
+    p_len = !len;
+    p_times = Timing.Solver.times solver;
+  }

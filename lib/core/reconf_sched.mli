@@ -5,9 +5,9 @@
     on the critical path) are placed first, lowest [T_MIN] first, since
     any delay on them propagates fully; each non-critical one is then
     inserted at the earliest controller slot compatible with its window,
-    shifting later reconfigurations as required (realized by re-resolving
-    the augmented graph, which is exactly the paper's delay
-    propagation). *)
+    shifting later reconfigurations as required (realized by
+    {!Timing.Solver.insert}, which propagates exactly the delays the
+    insertion causes: the paper's delay propagation). *)
 
 type arena
 (** Reusable buffers for {!run_hot}: a {!Timing.Solver.scratch} solver,
@@ -29,7 +29,8 @@ type plan = {
 }
 
 val run_hot : ?module_reuse:bool -> arena -> State.t -> plan
-(** Sequence every reconfiguration of the state on the controller, then
-    resolve once more so callers can read every start/end time without
+(** Sequence every reconfiguration of the state on the controller; the
+    solver's times are kept current through every insertion, so callers
+    read every start/end time of the complete sequence without
     re-timing. The returned plan aliases the arena — valid only until
     the next [run_hot] on the same arena; copy what must survive. *)

@@ -67,11 +67,7 @@ type windows = {
   fwd : nodeset;
   bwd : nodeset;
   mutable w_decrease : bool;  (* some pending duration went down *)
-  (* binary min-heap of nodes; a key is fixed when its node is pushed *)
-  h_node : int array;
-  h_key : int array;
-  mutable h_len : int;
-  h_in : bool array;
+  heap : Node_heap.t;
 }
 
 type t = {
@@ -107,63 +103,11 @@ let critical t u =
 (* ------------------------------------------------------------------ *)
 (* Window maintenance                                                  *)
 
-let heap_push w x key =
-  if not w.h_in.(x) then begin
-    w.h_in.(x) <- true;
-    let node = w.h_node and keys = w.h_key in
-    let i = ref w.h_len in
-    w.h_len <- w.h_len + 1;
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      if keys.(p) > key then begin
-        node.(!i) <- node.(p);
-        keys.(!i) <- keys.(p);
-        i := p;
-        true
-      end
-      else false
-    do
-      ()
-    done;
-    node.(!i) <- x;
-    keys.(!i) <- key
-  end
-
-let heap_pop w =
-  let node = w.h_node and keys = w.h_key in
-  let x = node.(0) in
-  w.h_in.(x) <- false;
-  let len = w.h_len - 1 in
-  w.h_len <- len;
-  let last = node.(len) and k = keys.(len) in
-  let i = ref 0 and sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    if l >= len then sifting := false
-    else begin
-      let c = if l + 1 < len && keys.(l + 1) < keys.(l) then l + 1 else l in
-      if keys.(c) < k then begin
-        node.(!i) <- node.(c);
-        keys.(!i) <- keys.(c);
-        i := c
-      end
-      else sifting := false
-    end
-  done;
-  node.(!i) <- last;
-  keys.(!i) <- k;
-  x
-
 (* Drop every pending seed and heap entry. *)
 let clear_pending w =
   clear w.fwd;
   clear w.bwd;
-  for i = 0 to w.h_len - 1 do
-    w.h_in.(w.h_node.(i)) <- false
-  done;
-  w.h_len <- 0;
+  Node_heap.clear w.heap;
   w.w_decrease <- false
 
 (* Top-level list walkers, so a settle allocates no closures. [a] is
@@ -175,7 +119,7 @@ let rec relax w a bound = function
   | v :: tl ->
     if a.(v) < bound then begin
       a.(v) <- bound;
-      heap_push w v bound
+      Node_heap.push w.heap v bound
     end;
     relax w a bound tl
 
@@ -184,7 +128,7 @@ let rec relax w a bound = function
 let rec push_all w a = function
   | [] -> ()
   | v :: tl ->
-    heap_push w v a.(v);
+    Node_heap.push w.heap v a.(v);
     push_all w a tl
 
 (* max over the neighbours of [a v + dur v]: the exact [t_min] over the
@@ -227,10 +171,10 @@ let settle t ~forward =
       push_all w a (out g seeds.items.(i))
     done;
     clear seeds;
-    while w.h_len > 0 do
+    while not (Node_heap.is_empty w.heap) do
       incr pops;
       over_budget t !pops;
-      let v = heap_pop w in
+      let v = Node_heap.pop w.heap in
       let x = max_through a dur 0 (into g v) in
       if x <> a.(v) then begin
         a.(v) <- x;
@@ -252,13 +196,13 @@ let settle t ~forward =
        the neighbours of every node that rose, and nothing else. *)
     for i = 0 to seeds.len - 1 do
       let u = seeds.items.(i) in
-      heap_push w u a.(u)
+      Node_heap.push w.heap u a.(u)
     done;
     clear seeds;
-    while w.h_len > 0 do
+    while not (Node_heap.is_empty w.heap) do
       incr pops;
       over_budget t !pops;
-      let u = heap_pop w in
+      let u = Node_heap.pop w.heap in
       let reach = a.(u) + dur.(u) in
       if forward && reach > w.w_makespan then w.w_makespan <- reach;
       relax w a reach (out g u)
@@ -341,10 +285,7 @@ let create inst ?(resource_scale = 1.0) ?cost ?base_cpm ~impl_of () =
       fwd = nodeset n;
       bwd = nodeset n;
       w_decrease = false;
-      h_node = Array.make n 0;
-      h_key = Array.make n 0;
-      h_len = 0;
-      h_in = Array.make n false;
+      heap = Node_heap.create n;
     }
   in
   let t =

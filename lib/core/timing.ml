@@ -54,14 +54,20 @@ let must_precede_closure closure a b =
 module Solver = struct
   (* The augmented graph (data edges, region/processor ordering edges,
      one node per reconfiguration wired between its in/out tasks) is
-     invariant across the resolves of one [Reconf_sched.run_hot]; only
-     the controller-chain edges over [sequence] change. The base
-     adjacency, in-degrees and durations are therefore built once, the
-     chain is kept as a [chain_next] side array, and every resolve is a
-     single allocation-free Kahn pass that relaxes earliest starts as
-     nodes are dequeued (any topological order yields the same
-     longest-path [t_min], so the result is bit-identical to a
-     from-scratch CPM over the fully built graph). *)
+     invariant across one [Reconf_sched.run_hot]; only the
+     controller-chain edges change. The base adjacency, in-degrees and
+     durations are therefore built once, the chain is kept as a
+     [chain_next] side array, and the times are kept current as the
+     chain grows (DESIGN.md "Incremental timing solver"):
+
+     - a full pass ([start], [resolve]) is one allocation-free Kahn pass
+       that relaxes earliest starts as nodes are dequeued (any
+       topological order yields the same longest-path [t_min]);
+     - an [insert] replaces the chain edge [prev -> next] by the path
+       [prev -> k -> next], which dominates it, so every [t_min] can
+       only rise: an increase-only relaxation from [k] reaches the
+       unique longest-path fixpoint that a full pass over the grown
+       chain computes, bit for bit. *)
 
   (* Every field is mutable so one solver value can be {!reload}ed for
      each restart iteration, growing its arrays on demand: loops are
@@ -74,16 +80,19 @@ module Solver = struct
     mutable off : int array;  (** CSR row offsets, [total + 1] entries *)
     mutable base_indeg : int array;
     mutable durations : int array;
-    (* scratch, overwritten by every [resolve] *)
+    (* the controller chain and the times it implies *)
     mutable chain_next : int array;
         (** spec index -> next spec in sequence, -1 *)
-    mutable indeg : int array;
-    mutable queue : int array;
     mutable t_min : int array;
     mutable task_start : int array;
     mutable task_end : int array;
     mutable rec_start : int array;
     mutable rec_end : int array;
+    mutable makespan : int;
+    (* work space of the full pass and of [insert] *)
+    mutable indeg : int array;
+    mutable queue : int array;
+    heap : Node_heap.t;
   }
 
   let of_plan ~graph ~durations:task_durations ~reconfigs =
@@ -107,8 +116,8 @@ module Solver = struct
         add (n + k) spec.t_out)
       reconfigs;
     (* Flatten to CSR: the base adjacency never changes after [of_plan],
-       and [resolve] runs many times over it — contiguous int arrays
-       beat chasing cons cells on every pass. *)
+       and every pass runs over it — contiguous int arrays beat chasing
+       cons cells. *)
     let edges = Array.fold_left (fun acc bi -> acc + bi) 0 base_indeg in
     let adj = Array.make (Stdlib.max 1 edges) 0 in
     let off = Array.make (total + 1) 0 in
@@ -135,13 +144,15 @@ module Solver = struct
       base_indeg;
       durations;
       chain_next = Array.make (Stdlib.max 1 nr) (-1);
-      indeg = Array.make total 0;
-      queue = Array.make total 0;
       t_min = Array.make total 0;
       task_start = Array.make n 0;
       task_end = Array.make n 0;
       rec_start = Array.make (Stdlib.max 1 nr) 0;
       rec_end = Array.make (Stdlib.max 1 nr) 0;
+      makespan = 0;
+      indeg = Array.make total 0;
+      queue = Array.make total 0;
+      heap = Node_heap.create total;
     }
 
   let scratch () =
@@ -154,13 +165,15 @@ module Solver = struct
       base_indeg = [||];
       durations = [||];
       chain_next = [| -1 |];
-      indeg = [||];
-      queue = [||];
       t_min = [||];
       task_start = [||];
       task_end = [||];
       rec_start = [| 0 |];
       rec_end = [| 0 |];
+      makespan = 0;
+      indeg = [||];
+      queue = [||];
+      heap = Node_heap.create 0;
     }
 
   let reload s state ~reconfigs =
@@ -187,13 +200,14 @@ module Solver = struct
     s.chain_next <- grow s.chain_next (Stdlib.max 1 nr);
     s.rec_start <- grow s.rec_start (Stdlib.max 1 nr);
     s.rec_end <- grow s.rec_end (Stdlib.max 1 nr);
+    Node_heap.ensure s.heap total;
     let off = s.off and base_indeg = s.base_indeg in
     Array.fill base_indeg 0 total 0;
     (* Pass 1: out-degree per node into [off.(u+1)], in-degrees as we
        go. Successors are taken in [succs_rev] order (no reversed-list
-       allocation): the longest-path relaxation of [resolve] is
-       edge-order independent, so the times stay bit-identical to
-       {!of_plan}'s ordering. *)
+       allocation): the longest-path relaxation is edge-order
+       independent, so the times stay bit-identical to {!of_plan}'s
+       ordering. *)
     for u = 0 to n - 1 do
       let c = ref 0 in
       List.iter
@@ -242,11 +256,18 @@ module Solver = struct
       durations.(n + k) <- reconfigs.(k).dur
     done
 
-  (* Shared Kahn pass: chain edges must already be installed in
-     [chain_next]/[indeg] (on top of a fresh [base_indeg] blit). *)
-  let finish_resolve ?release s =
+  (* The full pass: Kahn over the base adjacency plus the chain in
+     [chain_next], relaxing earliest starts as nodes are dequeued, from
+     [release] (default all zero). Raises [Graph.Cycle] with the nodes
+     it could not order. *)
+  let full_pass ?release s =
     let { n; nr; indeg; queue; t_min; chain_next; durations; _ } = s in
     let total = n + nr in
+    Array.blit s.base_indeg 0 indeg 0 total;
+    for k = 0 to nr - 1 do
+      let next = chain_next.(k) in
+      if next >= 0 then indeg.(n + next) <- indeg.(n + next) + 1
+    done;
     (match release with
     | None -> Array.fill t_min 0 total 0
     | Some r ->
@@ -256,9 +277,8 @@ module Solver = struct
     let head = ref 0 and tail = ref 0 in
     (* Node ids in [adj] were validated when the base adjacency was
        built, so unchecked accesses are safe.
-       Defined outside the drain loop: a closure per popped node is real
-       allocation in this, the single hottest loop of the restart
-       kernel. *)
+       Defined outside the drain loop: a closure per popped node would
+       be real allocation. *)
     let relax v finish =
       if Array.unsafe_get t_min v < finish then
         Array.unsafe_set t_min v finish;
@@ -303,44 +323,93 @@ module Solver = struct
       s.task_end.(u) <- t_min.(u) + durations.(u);
       if s.task_end.(u) > !makespan then makespan := s.task_end.(u)
     done;
+    s.makespan <- !makespan;
     for k = 0 to nr - 1 do
       s.rec_start.(k) <- t_min.(n + k);
-      s.rec_end.(k) <- t_min.(n + k) + s.reconfigs.(k).dur
-    done;
+      s.rec_end.(k) <- t_min.(n + k) + durations.(n + k)
+    done
+
+  let times s =
     {
       task_start = s.task_start;
       task_end = s.task_end;
       rec_start = s.rec_start;
       rec_end = s.rec_end;
-      makespan = !makespan;
+      makespan = s.makespan;
     }
 
-  let prep s =
-    Array.fill s.chain_next 0 s.nr (-1);
-    Array.blit s.base_indeg 0 s.indeg 0 (s.n + s.nr)
-
   let resolve ?release s ~sequence =
-    prep s;
-    let n = s.n and chain_next = s.chain_next and indeg = s.indeg in
+    Array.fill s.chain_next 0 s.nr (-1);
     let rec chain = function
-      | a :: b :: tl ->
-        chain_next.(a) <- b;
-        indeg.(n + b) <- indeg.(n + b) + 1;
-        chain (b :: tl)
+      | a :: (b :: _ as tl) ->
+        s.chain_next.(a) <- b;
+        chain tl
       | [ _ ] | [] -> ()
     in
     chain sequence;
-    finish_resolve ?release s
+    full_pass ?release s;
+    times s
 
-  let resolve_array ?release s ~sequence ~len =
-    if len < 0 || len > Array.length sequence then
-      invalid_arg "Timing.Solver.resolve_array: bad length";
-    prep s;
-    let n = s.n and chain_next = s.chain_next and indeg = s.indeg in
-    for i = 0 to len - 2 do
-      let a = sequence.(i) and b = sequence.(i + 1) in
-      chain_next.(a) <- b;
-      indeg.(n + b) <- indeg.(n + b) + 1
-    done;
-    finish_resolve ?release s
+  let start s =
+    Array.fill s.chain_next 0 s.nr (-1);
+    full_pass s
+
+  (* Raise node [v] to start at [t] and keep its published times and the
+     makespan current. *)
+  let raise_to s v t =
+    Array.unsafe_set s.t_min v t;
+    Node_heap.push s.heap v t;
+    let n = s.n in
+    if v < n then begin
+      let e = t + Array.unsafe_get s.durations v in
+      Array.unsafe_set s.task_start v t;
+      Array.unsafe_set s.task_end v e;
+      if e > s.makespan then s.makespan <- e
+    end
+    else begin
+      Array.unsafe_set s.rec_start (v - n) t;
+      Array.unsafe_set s.rec_end (v - n) (t + Array.unsafe_get s.durations v)
+    end
+
+  let insert s ~prev ~k ~next =
+    let n = s.n and t_min = s.t_min and durations = s.durations in
+    if k < 0 || k >= s.nr || prev >= s.nr || next >= s.nr then
+      invalid_arg "Timing.Solver.insert: spec out of range";
+    if prev >= 0 && s.chain_next.(prev) <> next then
+      invalid_arg "Timing.Solver.insert: next does not follow prev";
+    if prev >= 0 then s.chain_next.(prev) <- k;
+    s.chain_next.(k) <- next;
+    let u = n + k in
+    if prev >= 0 then begin
+      let reach = t_min.(n + prev) + durations.(n + prev) in
+      if t_min.(u) < reach then raise_to s u reach
+    end;
+    Node_heap.push s.heap u t_min.(u);
+    (* A consistent chain settles in a handful of pops per node; one
+       closing a cycle would raise forever (every cycle runs through a
+       task, and task durations are positive). Past a generous budget
+       the full pass decides: it raises [Graph.Cycle], or it leaves the
+       exact times of the grown chain. *)
+    let budget = 64 * (n + s.nr + 1) and pops = ref 0 in
+    while not (Node_heap.is_empty s.heap) do
+      incr pops;
+      if !pops > budget then begin
+        Node_heap.clear s.heap;
+        full_pass s
+      end
+      else begin
+        let u = Node_heap.pop s.heap in
+        let reach = Array.unsafe_get t_min u + Array.unsafe_get durations u in
+        let adj = s.adj in
+        for j = Array.unsafe_get s.off u to Array.unsafe_get s.off (u + 1) - 1 do
+          let v = Array.unsafe_get adj j in
+          if Array.unsafe_get t_min v < reach then raise_to s v reach
+        done;
+        if u >= n then begin
+          let next = Array.unsafe_get s.chain_next (u - n) in
+          if next >= 0 && Array.unsafe_get t_min (n + next) < reach then
+            raise_to s (n + next) reach
+        end
+      end
+    done
 end

@@ -38,11 +38,14 @@ val must_precede_closure :
     augmented dependency graph (valid while no further edges are
     inserted). *)
 
-(** Earliest-start times for the sequencing loop of step 7, which
-    resolves once per reconfiguration insertion: the augmented graph and
-    durations are compiled once, and each {!Solver.resolve} only
-    re-applies the controller-chain edges and reruns the longest-path
-    pass over reused scratch arrays. *)
+(** Earliest-start times for the sequencing loop of step 7, kept
+    current as the controller chain grows: the augmented graph and
+    durations are compiled once per state ({!Solver.reload}), one full
+    longest-path pass times the empty chain ({!Solver.start}), and each
+    {!Solver.insert} re-times only what linking one reconfiguration into
+    the chain moves. Since an insertion only adds a path that dominates
+    the chain edge it replaces, times only rise, and the result is
+    bit-identical to a full pass over the same sequence. *)
 module Solver : sig
   type t
 
@@ -64,7 +67,8 @@ module Solver : sig
       zero) gives a per-node earliest start: no activity begins before
       its release time, on top of every precedence constraint. The
       arrays of the result are owned by the solver and overwritten by
-      the next [resolve]; callers must copy whatever they retain. *)
+      the next [resolve], {!start} or {!insert}; callers must copy
+      whatever they retain. *)
 
   val scratch : unit -> t
   (** An empty reusable solver: {!reload} it before resolving. One
@@ -76,13 +80,24 @@ module Solver : sig
   (** Recompile the solver in place for the state's current augmented
       graph and durations (what {!of_plan} builds from them, minus the
       allocations). The solver's arrays may be longer than the compiled
-      problem; all resolves are bounded by the compiled sizes. Results
+      problem; all passes are bounded by the compiled sizes. Results
       are bit-identical to a freshly compiled solver's. *)
 
-  val resolve_array :
-    ?release:int array -> t -> sequence:int array -> len:int -> resolved
-  (** {!resolve} with the controller sequence given as the first [len]
-      entries of an int array — the sequencing loop's scratch
-      representation — instead of a list. Same result, same aliasing
-      caveat. *)
+  val start : t -> unit
+  (** Empty the controller chain and time it with one full pass: the
+      base of a sequence of {!insert}s. Read the times with {!times}. *)
+
+  val insert : t -> prev:int -> k:int -> next:int -> unit
+  (** Link spec [k] (not yet in the chain) between its sequence
+      neighbours [prev] and [next] ([-1] at either end of the chain;
+      [next] must follow [prev]) and bring every time up to date by an
+      increase-only relaxation from [k]: the times equal {!resolve}'s
+      over the grown sequence. Raises {!Resched_taskgraph.Graph.Cycle}
+      if the insertion contradicts the dependencies; the chain must then
+      be restarted. Allocation-free. *)
+
+  val times : t -> resolved
+  (** The current times. The arrays are the solver's own and stay live:
+      every later {!insert} updates them in place, and [makespan] is a
+      snapshot taken at this call. *)
 end

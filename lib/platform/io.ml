@@ -42,6 +42,14 @@ type parse_state = {
   mutable edges : (int * int) list;
 }
 
+(* [cycle] as {!Graph.topological_order} reports it, against the edge
+   direction; the message follows the edges and closes the loop. *)
+let cycle_message cycle =
+  let path = List.rev cycle in
+  let path = match path with [] -> [] | u :: _ -> path @ [ u ] in
+  "dependency cycle through tasks "
+  ^ String.concat " -> " (List.map string_of_int path)
+
 let of_string text =
   let state =
     { arch = None; tasks = -1; names = [||]; impls = [||]; current = -1;
@@ -164,11 +172,14 @@ let of_string text =
           let impls =
             Array.map (fun l -> Array.of_list (List.rev l)) state.impls
           in
-          match
-            Instance.make ~arch ~graph ~names:state.names ~impls ()
-          with
-          | inst -> Ok inst
-          | exception Invalid_argument msg -> Error msg)
+          match Graph.topological_order graph with
+          | exception Graph.Cycle cycle -> Error (cycle_message cycle)
+          | _ -> (
+            match
+              Instance.make ~arch ~graph ~names:state.names ~impls ()
+            with
+            | inst -> Ok inst
+            | exception Invalid_argument msg -> Error msg))
         | exception (Failure msg | Invalid_argument msg) -> Error msg
       end
   in

@@ -17,7 +17,9 @@ val to_string : Instance.t -> string
     for non-preset devices). *)
 
 val of_string : string -> (Instance.t, string) result
-(** Parse; the error message carries the offending line number. *)
+(** Parse; the error message carries the offending line number. A
+    dependency graph with a cycle is rejected with
+    ["dependency cycle through tasks a -> b -> ... -> a"]. *)
 
 val save : string -> Instance.t -> unit
 (** Write to a file path. *)

@@ -10,7 +10,9 @@
 type t
 
 exception Cycle of int list
-(** Raised by [topological_order] with (one of) the offending cycles. *)
+(** Raised by [topological_order] with (one of) the offending cycles,
+    listed against the edge direction: each node has an edge to the one
+    before it, and the first node to the last. *)
 
 val create : int -> t
 (** [create n] is an edgeless graph over [n] nodes. [n >= 0]. *)

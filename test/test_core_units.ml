@@ -253,6 +253,31 @@ let test_solver_matches_resolve_on_pipeline_state () =
   check_resolved "pipeline sequence" reference
     (Timing.Solver.resolve solver ~sequence)
 
+(* Linking a reconfiguration ahead of one it must follow closes a cycle
+   through the dependencies: [insert] must raise [Graph.Cycle] instead
+   of raising the times around the cycle forever. *)
+let test_solver_insert_cycle_raises () =
+  let state = two_region_state () in
+  State.add_edge state 1 2;
+  State.add_edge state 2 3;
+  State.refresh_windows state;
+  let r0 = State.new_region state (Resource.make ~clb:100 ~bram:0 ~dsp:0) in
+  let r1 = State.new_region state (Resource.make ~clb:100 ~bram:0 ~dsp:0) in
+  List.iter (fun task -> State.assign_to_region state ~task r0) [ 0; 1 ];
+  List.iter (fun task -> State.assign_to_region state ~task r1) [ 2; 3 ];
+  let specs = Timing.reconf_specs state in
+  Alcotest.(check int) "two reconfigurations" 2 (Array.length specs);
+  Alcotest.(check bool) "the first must precede the second" true
+    (Reference.must_precede state specs.(0) specs.(1));
+  let solver = Timing.Solver.scratch () in
+  Timing.Solver.reload solver state ~reconfigs:specs;
+  Timing.Solver.start solver;
+  Timing.Solver.insert solver ~prev:(-1) ~k:1 ~next:(-1);
+  match Timing.Solver.insert solver ~prev:1 ~k:0 ~next:(-1) with
+  | () -> Alcotest.fail "expected Graph.Cycle"
+  | exception Graph.Cycle stuck ->
+    Alcotest.(check bool) "stuck nodes reported" true (stuck <> [])
+
 let test_timing_reuse_skips_pairs () =
   let graph = Graph.create 2 in
   Graph.add_edge graph 0 1;
@@ -645,6 +670,13 @@ let prop_windows_match_cpm =
    state is compared with a real candidate's), over random instances,
    orderings and lattice scales; revisited scales recycle their arena
    state through [State.reset]. *)
+let ordering_of ord ~seed =
+  match ord with
+  | 0 -> Regions_define.By_efficiency
+  | 1 -> Regions_define.By_cost
+  | 2 -> Regions_define.Topological
+  | _ -> Regions_define.Random (Rng.create seed)
+
 let prop_pipeline_windows_match_cpm =
   QCheck.Test.make ~count:20 ~name:"pipeline step windows = Cpm.compute"
     QCheck.(triple int (int_range 5 40) (int_range 0 3))
@@ -659,13 +691,7 @@ let prop_pipeline_windows_match_cpm =
           let resource_scale =
             Pa.default_config.Pa.shrink_factor ** float_of_int k
           in
-          let ordering () =
-            match ord with
-            | 0 -> Regions_define.By_efficiency
-            | 1 -> Regions_define.By_cost
-            | 2 -> Regions_define.Topological
-            | _ -> Regions_define.Random (Rng.create (seed + k))
-          in
+          let ordering () = ordering_of ord ~seed:(seed + k) in
           let state = Pa.Context.state ctx ~resource_scale in
           ok := !ok && windows_match_cpm state;
           Regions_define.run ~ordering:(ordering ()) state;
@@ -697,6 +723,72 @@ let prop_pipeline_windows_match_cpm =
             && Array.map placed (Pa.materialize c).Schedule.slots
                = Array.init tasks mine)
         [ 0; 1; 0; 2; 6; 1; 0 ];
+      !ok)
+
+(* Step 7's incremental timing: from the full pass over the empty
+   chain, insert the reconfigurations of a real pipeline state in random
+   order at random legal positions (the dependency-forced pairwise order
+   decides what is legal, as in [Reconf_sched.run_hot]); after every
+   insertion the solver's times must equal a from-scratch resolve over
+   the same sequence. One scratch solver serves every state, so reloads
+   over longer buffers than the problem are covered too. *)
+let prop_insert_matches_full_pass =
+  QCheck.Test.make ~count:20 ~name:"solver insert = full pass"
+    QCheck.(triple int (int_range 5 40) (int_range 0 3))
+    (fun (seed, tasks, ord) ->
+      let rng = Rng.create (seed lxor 0x1A5E) in
+      let inst = Suite.instance rng ~tasks in
+      let ctx = Pa.Context.create inst in
+      let solver = Timing.Solver.scratch () in
+      let ok = ref true in
+      List.iter
+        (fun (k, module_reuse) ->
+          let resource_scale =
+            Pa.default_config.Pa.shrink_factor ** float_of_int k
+          in
+          let state = Pa.Context.state ctx ~resource_scale in
+          Regions_define.run ~ordering:(ordering_of ord ~seed:(seed + k)) state;
+          Sw_balance.run state;
+          Sw_map.run state;
+          let specs = Timing.reconf_specs ~module_reuse state in
+          let nr = Array.length specs in
+          let matches sequence =
+            let (r : Timing.resolved) =
+              Reference.resolve state ~reconfigs:specs ~sequence
+            and (s : Timing.resolved) = Timing.Solver.times solver in
+            let prefix a len = Array.sub a 0 len in
+            r.Timing.task_start = prefix s.Timing.task_start tasks
+            && r.Timing.task_end = prefix s.Timing.task_end tasks
+            && r.Timing.rec_start = prefix s.Timing.rec_start nr
+            && r.Timing.rec_end = prefix s.Timing.rec_end nr
+            && r.Timing.makespan = s.Timing.makespan
+          in
+          Timing.Solver.reload solver state ~reconfigs:specs;
+          Timing.Solver.start solver;
+          ok := !ok && matches [];
+          let sequence = ref [] and remaining = ref (List.init nr Fun.id) in
+          while !remaining <> [] do
+            let k = List.nth !remaining (Rng.int rng (List.length !remaining)) in
+            remaining := List.filter (( <> ) k) !remaining;
+            let lo = ref 0 and hi = ref (List.length !sequence) in
+            List.iteri
+              (fun pos j ->
+                if Reference.must_precede state specs.(j) specs.(k) then
+                  lo := max !lo (pos + 1);
+                if Reference.must_precede state specs.(k) specs.(j) then
+                  hi := min !hi pos)
+              !sequence;
+            let pos = !lo + Rng.int rng (!hi - !lo + 1) in
+            let at i = Option.value ~default:(-1) (List.nth_opt !sequence i) in
+            Timing.Solver.insert solver
+              ~prev:(if pos > 0 then at (pos - 1) else -1)
+              ~k ~next:(at pos);
+            sequence :=
+              List.filteri (fun i _ -> i < pos) !sequence
+              @ (k :: List.filteri (fun i _ -> i >= pos) !sequence);
+            ok := !ok && matches !sequence
+          done)
+        [ (0, false); (1, true); (0, true); (2, false); (6, true); (1, false) ];
       !ok)
 
 let () =
@@ -731,6 +823,8 @@ let () =
             test_solver_matches_resolve_on_pipeline_state;
           Alcotest.test_case "module reuse skips pairs" `Quick
             test_timing_reuse_skips_pairs;
+          Alcotest.test_case "insertion closing a cycle raises" `Quick
+            test_solver_insert_cycle_raises;
         ] );
       ( "state",
         [
@@ -777,5 +871,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_validator_catches_corruption;
           QCheck_alcotest.to_alcotest prop_windows_match_cpm;
           QCheck_alcotest.to_alcotest prop_pipeline_windows_match_cpm;
+          QCheck_alcotest.to_alcotest prop_insert_matches_full_pass;
         ] );
     ]

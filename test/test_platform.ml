@@ -193,6 +193,41 @@ let test_io_rejects_invalid_values () =
     "# header\narch processors 0 recfreq 3200 device minifab\ntasks 1\n\
      task 0\nimpl sw time 5\n"
 
+(* A dependency cycle is an input error reported at parse time, naming
+   the cycle along its edges, never a [Graph.Cycle] escaping later from
+   the scheduler; [load] goes through the same check. *)
+let test_io_rejects_cyclic_graph () =
+  let chain =
+    "arch processors 1 recfreq 3200 device minifab\ntasks 5\n"
+    ^ String.concat ""
+        (List.init 5 (Printf.sprintf "task %d\nimpl sw time 5\n"))
+    ^ "edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\n"
+  in
+  (match Io.of_string chain with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "acyclic chain rejected: %s" msg);
+  let expect_cycle text cycle =
+    match Io.of_string text with
+    | Ok _ -> Alcotest.failf "expected a cycle error for %S" text
+    | Error msg ->
+      Alcotest.(check string) "cycle named along its edges"
+        ("dependency cycle through tasks " ^ cycle)
+        msg
+  in
+  expect_cycle (chain ^ "edge 1 0\n") "1 -> 0 -> 1";
+  expect_cycle (chain ^ "edge 4 2\n") "3 -> 4 -> 2 -> 3";
+  let path = Filename.temp_file "resched_cyclic" ".inst" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (chain ^ "edge 1 0\n"));
+      match Io.load path with
+      | Ok _ -> Alcotest.fail "load accepted a cyclic graph"
+      | Error msg ->
+        Alcotest.(check string) "load reports the cycle"
+          "dependency cycle through tasks 1 -> 0 -> 1" msg)
+
 let test_io_comments_and_blank_lines () =
   let text =
     "# a comment\n\narch processors 1 recfreq 3200 device minifab\ntasks 1\n\
@@ -246,6 +281,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "invalid values" `Quick
             test_io_rejects_invalid_values;
+          Alcotest.test_case "rejects cyclic graph" `Quick
+            test_io_rejects_cyclic_graph;
           Alcotest.test_case "comments" `Quick test_io_comments_and_blank_lines;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_suite_roundtrip ]);

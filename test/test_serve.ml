@@ -904,18 +904,14 @@ let test_transport_framing_guards () =
     | _ -> None);
   Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays))
 
-(* An inline instance the platform constructors reject (here a negative
-   task time) must not wedge the event loop: it gets a [Failed] response
-   (status "error" on the wire) naming the offending line, the parse error is counted, and the
-   connection keeps serving the requests behind it — down to the
-   shutdown ack. *)
-let test_transport_malformed_instance () =
+(* An inline instance [Io] rejects must not wedge the event loop: it
+   gets a [Failed] response (status "error" on the wire) at admission —
+   no attempt made, nothing retried — whose message starts with
+   [message], the parse error is counted, and the connection keeps
+   serving the requests behind it, down to the shutdown ack. *)
+let check_instance_rejected ~instance ~message:prefix =
   let sim = make_tsim (Server.config ~capacity:4 ()) in
   let c = add_client sim in
-  let bad_instance =
-    "arch processors 1 recfreq 3200 device minifab\ntasks 1\ntask 0\n\
-     impl sw time -5\n"
-  in
   send c
     (String.trim
        (Json.to_string ~indent:0
@@ -923,7 +919,7 @@ let test_transport_malformed_instance () =
              [
                ("op", Json.String "schedule");
                ("id", Json.String "bad");
-               ("instance", Json.String bad_instance);
+               ("instance", Json.String instance);
              ])));
   send c {|{"op": "metrics", "id": "m"}|};
   send c {|{"op": "shutdown", "id": "q"}|};
@@ -933,28 +929,49 @@ let test_transport_malformed_instance () =
       List.length !collected >= 3);
   (match List.map response_of_line !collected with
   | [ (bad_id, bad_status, bad); (m_id, m_status, m); (q_id, q_status, _) ] ->
-    Alcotest.(check (pair string string)) "malformed instance answered"
+    Alcotest.(check (pair string string)) "bad instance answered"
       ("bad", "error") (bad_id, bad_status);
     let message =
       Option.value ~default:""
         (Option.bind (Json.member "message" bad) Json.get_string)
     in
     Alcotest.(check bool)
-      (Printf.sprintf "message %S names the line" message)
+      (Printf.sprintf "message %S starts with %S" message prefix)
       true
-      (String.starts_with ~prefix:"instance: line 4: " message);
+      (String.starts_with ~prefix message);
+    Alcotest.(check (option int)) "rejected before any attempt" (Some 0)
+      (Option.bind (Json.member "attempts" bad) Json.get_int);
     Alcotest.(check (pair string string)) "metrics answered" ("m", "metrics")
       (m_id, m_status);
+    let counter path = Option.bind (Json.path ("metrics" :: path) m) Json.get_int in
     Alcotest.(check (option int)) "one parse error counted" (Some 1)
-      (Option.bind
-         (Json.path [ "metrics"; "requests"; "parse_errors" ] m)
-         Json.get_int);
+      (counter [ "requests"; "parse_errors" ]);
+    Alcotest.(check (option int)) "nothing retried" (Some 0)
+      (counter [ "retries" ]);
     Alcotest.(check (pair string string)) "shutdown acknowledged"
       ("q", "shutdown") (q_id, q_status)
   | _ ->
     Alcotest.failf "expected three responses, got %d"
       (List.length !collected));
   Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays))
+
+(* A value the platform constructors reject: a negative task time. *)
+let test_transport_malformed_instance () =
+  check_instance_rejected
+    ~instance:
+      "arch processors 1 recfreq 3200 device minifab\ntasks 1\ntask 0\n\
+       impl sw time -5\n"
+    ~message:"instance: line 4: "
+
+(* A dependency cycle is an input error, not a transient failure: it is
+   answered at admission and never reaches a worker or its retries. *)
+let test_transport_cyclic_instance () =
+  check_instance_rejected
+    ~instance:
+      "arch processors 1 recfreq 3200 device minifab\ntasks 3\n\
+       task 0\nimpl sw time 5\ntask 1\nimpl sw time 5\n\
+       task 2\nimpl sw time 5\nedge 0 1\nedge 1 2\nedge 1 0\n"
+    ~message:"instance: dependency cycle through tasks 1 -> 0 -> 1"
 
 (* The DRR quantum is honored: with quantum 2 the rotation serves two
    per source before moving on; with the default 1 it alternates. *)
@@ -1047,5 +1064,7 @@ let () =
           Alcotest.test_case "DRR quantum" `Quick test_drr_quantum;
           Alcotest.test_case "malformed instance does not wedge" `Quick
             test_transport_malformed_instance;
+          Alcotest.test_case "cyclic instance answered at admission" `Quick
+            test_transport_cyclic_instance;
         ] );
     ]

@@ -19,9 +19,7 @@
      RESCHED_FIG6_BUDGET_MS      [4000]  PA-R budget for the Fig. 6 traces
      RESCHED_ITER_MIN            [1000]  iterations per side for the
                                          arena-kernel-vs-reference
-                                         throughput comparison (also used
-                                         by its saturated-fabric cache
-                                         batch)
+                                         throughput comparison
      RESCHED_FP_CHECKS           [120]   oracle checks per group in the
                                          floorplan v1-vs-v2 comparison
      RESCHED_FP_E2E_ITERS        [40]    PA-R iterations per engine in the

@@ -201,11 +201,10 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
     in
     Logs.info (fun m ->
         m "PA-R: %d iterations on %d worker(s); floorplan cache %d L1 + %d \
-           exact + %d subsumption hits / %d misses"
+           L2 hits / %d misses"
           outcome.Pa_random.iterations jobs
           st.Resched_floorplan.Fp_cache.l1_hits
           st.Resched_floorplan.Fp_cache.hits
-          st.Resched_floorplan.Fp_cache.sub_hits
           st.Resched_floorplan.Fp_cache.misses);
     match outcome.Pa_random.schedule with
     | Some sched -> sched
@@ -328,7 +327,7 @@ let optimize path seed_budget_ms polish_budget_ms reuse seed jobs gantt save =
   let inst = load_instance path in
   (* one verdict-transparent cache spans seeding and polishing, so the
      move kernel's re-queries hit the PA-R run's stored verdicts *)
-  let cache = Resched_floorplan.Fp_cache.create ~subsumption:false () in
+  let cache = Resched_floorplan.Fp_cache.create () in
   let t0 = Unix.gettimeofday () in
   let seed_sched =
     run_algo A_par ~cache
@@ -533,8 +532,7 @@ let compare_ path budget_ms seed jobs =
   in
   (* One oracle for the whole comparison: every algorithm probes the same
      region multisets near the feasibility frontier, so verdicts cross
-     over between algorithms (and the subsumption index answers the
-     shrunken variants). *)
+     over between algorithms. *)
   let cache = Resched_floorplan.Fp_cache.create () in
   List.iter
     (fun (name, algo) ->
@@ -567,9 +565,9 @@ let compare_ path budget_ms seed jobs =
   let lookups = F.lookups st in
   if lookups > 0 then
     Printf.printf
-      "shared floorplan cache: %d lookups, %d L1 + %d exact + %d subsumption \
-       hits (%.0f%%), %d misses\n"
-      lookups st.F.l1_hits st.F.hits st.F.sub_hits
+      "shared floorplan cache: %d lookups, %d L1 + %d L2 hits (%.0f%%), %d \
+       misses\n"
+      lookups st.F.l1_hits st.F.hits
       (100. *. F.hit_rate st)
       st.F.misses;
   0
@@ -683,7 +681,7 @@ let batch manifest seed min_iterations budget_ms jobs slice out_dir stats_out
   let requests = Array.map snd entries in
   (* Verdict-transparent cache: per-instance results stay independent of
      how the batch's slices happened to interleave. *)
-  let cache = Resched_floorplan.Fp_cache.create ~subsumption:false () in
+  let cache = Resched_floorplan.Fp_cache.create () in
   let outcomes, stats = Batch.run ~cache ~jobs ?slice requests in
   (match out_dir with
   | Some dir ->

@@ -14,21 +14,16 @@
 
     Determinism: each course owns its RNG and its incumbent, so the
     slice interleaving (which varies with load) never leaks between
-    instances. With a verdict-transparent shared [cache]
-    ([Fp_cache.create ~subsumption:false ()]) — or no cache at all —
+    instances. With a shared [cache] — or no cache at all —
     per-instance outcomes are bit-identical to running
     [Pa_random.run ~seed ~min_iterations ~budget_seconds:0.] for each
     request in isolation under the same cache mode, whatever [jobs] and
-    [slice] are (property-tested): such a cache's verdicts are a pure
+    [slice] are (property-tested): the cache's verdicts are a pure
     function of the query, so sharing it across instances changes
-    wall-clock only. Two cache caveats, both inherited from
-    {!Resched_floorplan.Fp_cache}: the exact layer canonicalizes needs
-    before consulting the engine, so cached and cache-less runs can
-    disagree where the engine's node budget bites; and a cache with the
-    dominance index enabled ([subsumption:true], the default) can
-    decide verdicts the bare engine would call [Unknown], making
-    results depend on what other instances happened to insert first —
-    don't pass one here if reproducibility matters. *)
+    wall-clock only. One caveat, inherited from
+    {!Resched_floorplan.Fp_cache}: the cache canonicalizes needs before
+    consulting the engine, so cached and cache-less runs can disagree
+    where the engine's node budget bites. *)
 
 type request = {
   instance : Resched_platform.Instance.t;

@@ -134,14 +134,7 @@ type t = {
   mutable suffix : int array;
   mutable stk : int array;
   sortbuf : int array;  (* member collection, task-indexed *)
-  (* direct-mapped floorplan-verdict memo keyed by the live demand
-     multiset in region order. A verdict is a pure function of the
-     multiset, so entries never go stale across moves or rollbacks; a
-     hit skips the shared cache's sort/key/unpermute work entirely.
-     Key layout: [|clb0; bram0; dsp0; clb1; ...|]; [||] marks empty. *)
-  mutable l0_key : int array array;  (* [||] until the first query *)
-  mutable l0_ok : bool array;
-  mutable l0_places : Placement.rect array array;
+  heap : Node_heap.t;  (* [eval_incremental]'s worklist *)
   mutable times_valid : bool;
       (* do the stored times satisfy every current edge? pruned
          reachability relies on this; structural edits that break the
@@ -336,6 +329,7 @@ let ensure_capacity d ~specs ~regions =
     d.stamp <- grow_int d.stamp nodes 0;
     d.indeg <- grow_int d.indeg nodes 0;
     d.queue <- grow_int d.queue nodes 0;
+    Node_heap.ensure d.heap nodes;
     d.suffix <- grow_int d.suffix nodes 0;
     d.stk <- grow_int d.stk nodes 0
   end;
@@ -542,71 +536,19 @@ let eval_suffix d seeds =
   !head = top
 
 let eval_incremental d seeds =
-  d.gen <- d.gen + 1;
-  let gen = d.gen in
-  let stamp = d.stamp and heap = d.queue and t = d.t in
+  let heap = d.heap and t = d.t in
   (* Min-heap on the stored start time: stale times are near-topological
      (the order-potential again), so each node is almost always popped
-     after all its changing predecessors and recomputed once. Keys read
-     live from [t]; a mid-pass update can only degrade the order, never
-     the fixpoint. *)
-  let len = ref 0 in
-  let push x =
-    if stamp.(x) <> gen then begin
-      stamp.(x) <- gen;
-      let i = ref !len in
-      incr len;
-      let k = t.(x) in
-      while
-        !i > 0
-        &&
-        let p = (!i - 1) / 2 in
-        if t.(heap.(p)) > k then begin
-          heap.(!i) <- heap.(p);
-          i := p;
-          true
-        end
-        else false
-      do
-        ()
-      done;
-      heap.(!i) <- x
-    end
-  in
-  let pop () =
-    let x = heap.(0) in
-    decr len;
-    let last = heap.(!len) in
-    let k = t.(last) in
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 in
-      if l >= !len then continue_ := false
-      else begin
-        let c =
-          if l + 1 < !len && t.(heap.(l + 1)) < t.(heap.(l)) then l + 1
-          else l
-        in
-        if t.(heap.(c)) < k then begin
-          heap.(!i) <- heap.(c);
-          i := c
-        end
-        else continue_ := false
-      end
-    done;
-    heap.(!i) <- last;
-    x
-  in
+     after all its changing predecessors and recomputed once. *)
+  let push x = Node_heap.push heap x t.(x) in
   List.iter push seeds;
   (* Worst legal case is every node finalizing once per depth level;
      anything past a generous multiple means a cycle is spinning the
      worklist, so hand over to the exact pass. *)
   let budget = ref ((4 * (d.n + d.nspecs)) + 64) in
   let overrun = ref false in
-  while (not !overrun) && !len > 0 do
-    let x = pop () in
-    stamp.(x) <- 0;
+  while (not !overrun) && not (Node_heap.is_empty heap) do
+    let x = Node_heap.pop heap in
     decr budget;
     if !budget < 0 then overrun := true
     else begin
@@ -633,7 +575,11 @@ let eval_incremental d seeds =
       end
     end
   done;
-  if !overrun then eval_suffix d seeds else true
+  if !overrun then begin
+    Node_heap.clear heap;
+    eval_suffix d seeds
+  end
+  else true
 
 (* Oracle path: project the plan onto the PR 2 machinery — a fresh
    [Graph.t] with the data and chain edges, the live reconfigurations as
@@ -729,8 +675,6 @@ let update_makespan d =
    multiset changed; the shared cache (sorted-needs key) makes repeated
    multisets exact hits. *)
 
-let l0_slots = 4096 (* power of two; direct-mapped, overwrite on clash *)
-
 let requery_fp d =
   let nlive = ref 0 in
   for r = 0 to d.nregions - 1 do
@@ -741,86 +685,26 @@ let requery_fp d =
     not (Resource.fits d.used ~within:(Arch.max_res d.arch))
   then set_fp d false [||]
   else begin
-    (* The memo arrays are grown on first use: most states never query
-       (their schedule arrives with a floorplan attached), and paying
-       three 4096-slot allocations in [of_schedule] would tax exactly
-       the from-scratch paths this memo is meant to speed past. *)
-    if Array.length d.l0_key = 0 then begin
-      d.l0_key <- Array.make l0_slots [||];
-      d.l0_ok <- Array.make l0_slots false;
-      d.l0_places <- Array.make l0_slots [||]
-    end;
-    (* L0 probe: hash the live demands in place, compare in place. *)
-    let h = ref 17 in
+    let needs = Array.make !nlive Resource.zero in
+    let i = ref 0 in
     for r = 0 to d.nregions - 1 do
       if d.rg_live.(r) = 1 then begin
-        let res = d.rg_res.(r) in
-        h := (!h * 131) + res.Resource.clb;
-        h := (!h * 131) + res.Resource.bram;
-        h := (!h * 131) + res.Resource.dsp
+        needs.(!i) <- d.rg_res.(r);
+        incr i
       end
     done;
-    let slot = !h land (l0_slots - 1) in
-    let key = d.l0_key.(slot) in
-    let hit =
-      Array.length key = 3 * !nlive
-      && begin
-           let i = ref 0 and same = ref true in
-           (try
-              for r = 0 to d.nregions - 1 do
-                if d.rg_live.(r) = 1 then begin
-                  let res = d.rg_res.(r) in
-                  if
-                    key.(!i) <> res.Resource.clb
-                    || key.(!i + 1) <> res.Resource.bram
-                    || key.(!i + 2) <> res.Resource.dsp
-                  then begin
-                    same := false;
-                    raise Stdlib.Exit
-                  end;
-                  i := !i + 3
-                end
-              done
-            with Stdlib.Exit -> ());
-           !same
-         end
+    let report =
+      match d.cfg.cache with
+      | Some cache ->
+        Fp_cache.check cache ~engine:d.cfg.engine
+          ?node_limit:d.cfg.node_limit d.device needs
+      | None ->
+        Floorplanner.check ~engine:d.cfg.engine ?node_limit:d.cfg.node_limit
+          d.device needs
     in
-    if hit then set_fp d d.l0_ok.(slot) d.l0_places.(slot)
-    else begin
-      let needs = Array.make !nlive Resource.zero in
-      let i = ref 0 in
-      for r = 0 to d.nregions - 1 do
-        if d.rg_live.(r) = 1 then begin
-          needs.(!i) <- d.rg_res.(r);
-          incr i
-        end
-      done;
-      let report =
-        match d.cfg.cache with
-        | Some cache ->
-          Fp_cache.check cache ~engine:d.cfg.engine
-            ?node_limit:d.cfg.node_limit d.device needs
-        | None ->
-          Floorplanner.check ~engine:d.cfg.engine ?node_limit:d.cfg.node_limit
-            d.device needs
-      in
-      let ok, places =
-        match report.Floorplanner.verdict with
-        | Floorplanner.Feasible placements -> (true, placements)
-        | Floorplanner.Infeasible | Floorplanner.Unknown -> (false, [||])
-      in
-      let key = Array.make (3 * !nlive) 0 in
-      Array.iteri
-        (fun i (res : Resource.t) ->
-          key.(3 * i) <- res.Resource.clb;
-          key.((3 * i) + 1) <- res.Resource.bram;
-          key.((3 * i) + 2) <- res.Resource.dsp)
-        needs;
-      d.l0_key.(slot) <- key;
-      d.l0_ok.(slot) <- ok;
-      d.l0_places.(slot) <- places;
-      set_fp d ok places
-    end
+    match report.Floorplanner.verdict with
+    | Floorplanner.Feasible placements -> set_fp d true placements
+    | Floorplanner.Infeasible | Floorplanner.Unknown -> set_fp d false [||]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1369,9 +1253,6 @@ let of_schedule ?(config = default_config) (sched : Schedule.t) =
       ctrl_head = -1;
       ctrl_tail = -1;
       nctrl = 0;
-      l0_key = [||];
-      l0_ok = [||];
-      l0_places = [||];
       rg_head = Array.make cap_rg (-1);
       rg_count = Array.make cap_rg 0;
       rg_reconf = Array.make cap_rg 0;
@@ -1393,6 +1274,7 @@ let of_schedule ?(config = default_config) (sched : Schedule.t) =
       suffix = Array.make (n + cap_sp) 0;
       stk = Array.make (n + cap_sp) 0;
       sortbuf = Array.make (Stdlib.max 1 n) 0;
+      heap = Node_heap.create (n + cap_sp);
       times_valid = false;
     }
   in

@@ -40,8 +40,9 @@ type config = {
   node_limit : int option;
   cache : Resched_floorplan.Fp_cache.t option;
       (** demand-vector feasibility queries go through this cache when
-          present; pass a [~subsumption:false] cache on any path whose
-          verdicts are compared across runs (see PR 7's fence) *)
+          present, else straight to {!Resched_floorplan.Floorplanner.check};
+          the cache is verdict-transparent, so either way a verdict does
+          not depend on what earlier queries stored *)
 }
 
 val default_config : config

@@ -1,6 +1,6 @@
 (** Textual serialization of complete schedules.
 
-    A schedule file is self-contained: it embeds the problem instance (in
+    A schedule file is self-contained: it carries the problem instance (in
     the {!Resched_platform.Io} format) followed by the scheduling
     decisions, so downstream tooling (visualizers, runtime loaders,
     regression diffing) needs nothing else. Grammar of the schedule

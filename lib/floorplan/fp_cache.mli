@@ -1,38 +1,37 @@
-(** Memoized floorplan feasibility checks.
+(** The floorplan verdict memo: memoized {!Floorplanner.check}.
 
-    PA-R consults the floorplanner once per improving candidate, and
-    candidates drawn from different random orderings frequently produce
-    the same multiset of region resource requirements. The cache keys a
-    {!Floorplanner.check} verdict on the device, the engine/node-limit
-    configuration and the *sorted* needs array, so any permutation of an
-    already-checked region set is an exact hit: cached placements are
-    permuted back to the query's region order before being returned.
+    PA step 8, every improving PA-R candidate, the list scheduler, the
+    IS-k baselines and every {!Resched_core.Delta} re-query ask the
+    floorplanner whether a region set fits, and candidates drawn from
+    different random orderings frequently produce the same multiset of
+    region demands. The cache keys a {!Floorplanner.check} verdict on
+    the device, the engine/node-limit configuration and the
+    {e canonically sorted} needs array (ties broken by index), so any
+    permutation of an already-checked region set is an exact hit:
+    cached placements are permuted back to the query's region order
+    before being returned.
+
+    {b Verdict-transparent by construction.} The only thing stored is
+    the engine's report on the sorted needs of an exact key, [Unknown]
+    included. Every verdict handed out is therefore the engine's answer
+    for that exact (device, engine, node-limit, sorted needs) key,
+    whatever was inserted before: a warm and a cold cache, or caches fed
+    the same queries in different orders, hand out the same verdicts.
+    (Verdicts are computed on the sorted needs; where the node budget
+    bites they can differ from a cache-less check on the caller's
+    order.) The batch engine's and the daemon's bit-identity guarantees
+    under arbitrary interleavings rest on this.
 
     {b Two-level read path.} Each domain owns a private, bounded L1 memo
     (domain-local storage, no locks or shared cache lines at all) in
     front of the shared L2. L1 entries are flushed lazily whenever the
     cache's {e invalidation epoch} moves ({!clear},
     {!invalidate_device}), so a stale verdict never outlives an
-    invalidation. The shared L2's exact table is sharded into stripes
-    whose read path is an {e optimistic versioned read}
-    ({!Resched_util.Seqlock}) over an immutable snapshot — parallel
-    workers take a stripe mutex only to insert, never to look up.
-    Counters are [Atomic.t] everywhere, so {!stats} and {!stripe_stats}
-    never block a worker.
-
-    On top of the exact table sits a *monotone subsumption index*:
-    floorplan feasibility is antimonotone in region demands, so a
-    feasible verdict at needs [R] answers any query [R'] that
-    *dominance-embeds* into [R] — every query need charged to a distinct
-    stored need that covers it component-wise, including queries with
-    fewer regions than [R]. The matched subset of the stored placements
-    is reused directly: the rectangles are disjoint and each still
-    covers its (smaller) matched need. Dually, an infeasible verdict at
-    [R] answers any query that [R] embeds into (a packing of the query
-    would contain a packing of [R]). [Unknown] verdicts are never
-    subsumed. Subsumption-derived verdicts can be *more* decisive than a
-    budget-limited direct check (which might return [Unknown] where the
-    index holds a proof); they are never wrong. *)
+    invalidation. The shared L2 is sharded into stripes whose read path
+    is an {e optimistic versioned read} ({!Resched_util.Seqlock}) over an
+    immutable snapshot — parallel workers take a stripe mutex only to
+    insert, never to look up. Counters are [Atomic.t] everywhere, so
+    {!stats} and {!stripe_stats} never block a worker. *)
 
 type t
 
@@ -41,7 +40,10 @@ type stats = {
       (** hits served by a domain-local L1 memo (no shared state
           touched) *)
   hits : int;  (** exact-key hits in the shared L2 *)
-  sub_hits : int;  (** hits derived from the subsumption index *)
+  sub_hits : int;
+      (** always [0]. Kept only so the frozen benchmark
+          ([perfbench/]) compiles; deleted with the next benchmark
+          revision. *)
   misses : int;  (** full misses: a fresh check ran *)
   inserts : int;  (** misses whose fresh verdict was stored *)
 }
@@ -53,41 +55,25 @@ val diff : stats -> stats -> stats
     between two snapshots of the same cache. *)
 
 val lookups : stats -> int
-(** [l1_hits + hits + sub_hits + misses]. *)
+(** [l1_hits + hits + misses]. *)
 
 val hit_rate : stats -> float
-(** Combined (L1 + exact + subsumption) hit rate over {!lookups};
+(** Combined (L1 + L2) hit rate over {!lookups};
     [0.] when there were none. *)
 
 val create : ?stripes:int -> ?l1_capacity:int -> ?subsumption:bool ->
-  ?debug:bool -> unit -> t
+  unit -> t
 (** An empty cache with zeroed counters, sharded into [stripes]
     (default 16, clamped to >= 1) L2 stripes. [l1_capacity] (default
-    512) bounds each domain's L1 memo — when full it is dropped
+    4096) bounds each domain's L1 memo — when full it is dropped
     wholesale, which only costs future hits; [0] disables the L1
     entirely (every read goes to the shared L2 — used by tests that
     probe L2 behaviour directly).
 
-    [subsumption] (default [true]) enables the dominance index. It is
-    sound but {e more decisive} than the engine: a stored decisive
-    verdict can answer a query the engine alone would call
-    {!Floorplanner.Unknown} under its node budget, so verdicts then
-    depend on what the cache happens to contain. Pass
-    [~subsumption:false] for a {e verdict-transparent} cache — every
-    verdict handed out is the engine's answer for that exact
-    (device, engine, node-limit, canonically-sorted needs) key,
-    independent of insertion history, so every run through such a cache
-    sees the same verdicts whether entries were warm or cold. (Verdicts
-    are computed on the {e canonically sorted} needs; where the node
-    budget bites they can differ from a cache-less check on the
-    caller's order.) The batch engine ({!Resched_core.Batch}) relies on
-    this mode for its per-instance bit-identity guarantee under
-    arbitrary slice interleavings.
-
-    With [~debug:true] (default: set when the [RESCHED_FP_DEBUG]
-    environment variable is 1/true/yes), placements reused through the
-    subsumption index are revalidated with {!Floorplanner.validate}
-    before being returned. *)
+    [subsumption] accepts only [false] (the default); [true] raises
+    [Invalid_argument]. The label is kept only so the frozen benchmark
+    ([perfbench/]) compiles, and is deleted with the next benchmark
+    revision. *)
 
 val stats : t -> stats
 (** L2 counters summed over all stripes, plus the L1 counters of every
@@ -112,7 +98,7 @@ val epoch : t -> int
     against this and flush when behind. *)
 
 val clear : t -> unit
-(** Drop every entry (exact and subsumption), reset the counters and
+(** Drop every entry, reset the counters and
     advance the epoch so every domain's L1 flushes on its next use. *)
 
 val invalidate_device : t -> Resched_fabric.Device.t -> unit
@@ -126,13 +112,10 @@ val check : t -> ?engine:Floorplanner.engine -> ?node_limit:int ->
   Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
   Floorplanner.report
 (** Drop-in replacement for {!Floorplanner.check}. Lookup order: the
-    calling domain's L1 memo, then the L2 exact stripe (optimistic
-    versioned read), then the subsumption index (a derived verdict is
-    promoted to an exact entry so repeats become exact hits; promotions
-    do not count as [inserts]), then a fresh check whose decisive
-    verdict feeds both L2 structures; every L2 answer is also copied
-    into the caller's L1. Feasible placements are always reported in the
-    caller's region order and satisfy {!Floorplanner.validate} against
-    the queried [needs]. Verdicts are only reused for the same [engine]
-    and [node_limit] configuration, and [Unknown] is never derived by
-    subsumption. *)
+    calling domain's L1 memo, then the L2 stripe (optimistic versioned
+    read), then a fresh check on the sorted needs whose verdict, of any
+    kind, is stored in the L2; every L2 answer is also copied into the
+    caller's L1. Feasible placements are always reported in the caller's
+    region order and satisfy {!Floorplanner.validate} against the
+    queried [needs]. Verdicts are only reused for the same [engine] and
+    [node_limit] configuration. *)

@@ -192,9 +192,6 @@ let save path t =
     (fun () -> output_string oc (to_string t))
 
 let load path =
-  match open_in path with
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_string (In_channel.input_all ic))
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> of_string text
   | exception Sys_error msg -> Error msg

@@ -25,3 +25,6 @@ val save : string -> Instance.t -> unit
 (** Write to a file path. *)
 
 val load : string -> (Instance.t, string) result
+(** Read and parse a file. Total: a path that cannot be read (missing, a
+    directory, no permission) is an [Error] carrying the system's
+    message, like a parse failure. *)

@@ -156,7 +156,7 @@ let create ?clock ?cache ~respond cfg =
   let cache =
     match cache with
     | Some c -> c
-    | None -> Fp_cache.create ~subsumption:false ()
+    | None -> Fp_cache.create ()
   in
   {
     cfg;
@@ -332,7 +332,6 @@ let cache_json c =
     Json.Obj
       [
         ("hits", Json.Int st.Fp_cache.hits);
-        ("sub_hits", Json.Int st.Fp_cache.sub_hits);
         ("misses", Json.Int st.Fp_cache.misses);
         ("hit_rate", Json.float (Fp_cache.hit_rate st));
       ]
@@ -341,7 +340,6 @@ let cache_json c =
     [
       ("l1_hits", Json.Int s.Fp_cache.l1_hits);
       ("hits", Json.Int s.Fp_cache.hits);
-      ("sub_hits", Json.Int s.Fp_cache.sub_hits);
       ("misses", Json.Int s.Fp_cache.misses);
       ("inserts", Json.Int s.Fp_cache.inserts);
       ("hit_rate", Json.float (Fp_cache.hit_rate s));
@@ -449,12 +447,9 @@ let metrics t =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 
-let load_instance source =
-  try
-    match source with
-    | Protocol.Inline s -> Io.of_string s
-    | Protocol.Path p -> Io.load p
-  with Sys_error m -> Error m
+let load_instance = function
+  | Protocol.Inline s -> Io.of_string s
+  | Protocol.Path p -> Io.load p
 
 let reject t ~via ~id ~reason ~depth =
   deliver t ~via (Protocol.Rejected { id; reason; queue_depth = depth })

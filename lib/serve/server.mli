@@ -101,8 +101,9 @@ val create :
 (** [clock] (default [Unix.gettimeofday]) is the only time source the
     engine consults — deadlines, backoffs and latency stamps all read
     it, so tests drive a virtual clock. [cache] (default a fresh
-    [Fp_cache.create ~subsumption:false ()]) must be
-    verdict-transparent for the offline bit-identity contract to hold.
+    [Fp_cache.create ()]) is shared by every request; its verdicts are
+    a pure function of the query, which the offline bit-identity
+    contract relies on.
     [respond] is invoked exactly once per request, serialized under an
     internal lock, from whichever domain finished the request; it must
     not call back into this module, and exceptions it raises are

@@ -51,12 +51,10 @@ let prop_batch_equals_sequential =
               inst)
       in
       let slice = if seed land 1 = 0 then Some 1 else Some 3 in
-      (* Verdict-transparent cache: the mode the identity contract
-         requires (see Batch's interface). *)
+      (* The shared cache is verdict-transparent, which the identity
+         contract requires (see Batch's interface). *)
       let outcomes, stats =
-        Batch.run
-          ~cache:(Fp_cache.create ~subsumption:false ())
-          ~jobs ?slice requests
+        Batch.run ~cache:(Fp_cache.create ()) ~jobs ?slice requests
       in
       let sequential =
         (* Same cache mode as the batch: a verdict-transparent cache
@@ -65,7 +63,7 @@ let prop_batch_equals_sequential =
         Array.map
           (fun (r : Batch.request) ->
             Pa_random.run
-              ~cache:(Fp_cache.create ~subsumption:false ())
+              ~cache:(Fp_cache.create ())
               ~seed:r.Batch.seed ~min_iterations:r.Batch.min_iterations
               ~budget_seconds:0. r.Batch.instance)
           requests
@@ -187,7 +185,7 @@ let test_batch_cancelled_request () =
   in
   let outcomes, _ =
     Batch.run
-      ~cache:(Fp_cache.create ~subsumption:false ())
+      ~cache:(Fp_cache.create ())
       ~jobs:2 ~slice:2 requests
   in
   Alcotest.(check int) "cancelled request ran no iterations" 0
@@ -196,7 +194,7 @@ let test_batch_cancelled_request () =
     (fun (i, seed) ->
       let offline =
         Pa_random.run
-          ~cache:(Fp_cache.create ~subsumption:false ())
+          ~cache:(Fp_cache.create ())
           ~seed ~min_iterations:10 ~budget_seconds:0. insts.(i)
       in
       Alcotest.(check bool)
@@ -222,13 +220,13 @@ let test_words_per_iteration () =
   let soa =
     words
       (Pa_random.run ~seed:5 ~min_iterations:150
-         ~cache:(Fp_cache.create ~subsumption:false ())
+         ~cache:(Fp_cache.create ())
          ~budget_seconds:0. inst)
   in
   let boxed =
     words
       (Reference.run_random ~seed:5 ~min_iterations:150
-         ~cache:(Fp_cache.create ~subsumption:false ())
+         ~cache:(Fp_cache.create ())
          inst)
   in
   Alcotest.(check bool)

@@ -203,6 +203,18 @@ let test_capacity_bounds_ok () =
   Alcotest.(check bool) "row-slot bound" false
     (Packer.capacity_bounds_ok d (Array.make 4 (v ~clb:0 ~bram:5 ~dsp:0)))
 
+(* Verdict kind, and the canonical (sorted) needs order the cache keys
+   and checks on. *)
+let kind = function
+  | Floorplanner.Feasible _ -> `Feasible
+  | Floorplanner.Infeasible -> `Infeasible
+  | Floorplanner.Unknown -> `Unknown
+
+let sorted needs =
+  let s = Array.copy needs in
+  Array.sort Resource.compare s;
+  s
+
 let test_cache_counters_and_permutation () =
   let d = Device.minifab in
   let cache = Fp_cache.create () in
@@ -251,76 +263,30 @@ let test_cache_invalidate_device () =
   Alcotest.(check int) "clear resets counters" 0
     (st.Fp_cache.hits + st.Fp_cache.misses + st.Fp_cache.inserts)
 
-(* Subsumption-index behaviour. *)
+(* With a zero node budget the greedy pre-pass fails on this set and the
+   search returns Unknown on minifab (found by enumeration; re-verified
+   below). *)
+let vague = [| v ~clb:215 ~bram:10 ~dsp:5; v ~clb:285 ~bram:1 ~dsp:0 |]
 
-let test_cache_subsumption_feasible () =
+let test_cache_unknown_replayed () =
   let d = Device.minifab in
-  (* L1 disabled so the promotion-to-exact-entry behaviour of the shared
-     L2 is observable (with an L1 the repeat would be absorbed there). *)
+  (* L1 disabled so the repeat is served by the shared L2. The
+     non-verdict is stored like any other: a permutation of the same
+     needs replays it rather than re-checking or refining it. *)
   let cache = Fp_cache.create ~l1_capacity:0 () in
-  let big = [| v ~clb:300 ~bram:4 ~dsp:8; v ~clb:100 ~bram:2 ~dsp:0 |] in
-  (match (Fp_cache.check cache d big).Floorplanner.verdict with
-  | Floorplanner.Feasible _ -> ()
-  | _ -> Alcotest.fail "base set must be feasible on minifab");
-  (* A smaller query — fewer regions, each dominated by a distinct
-     stored need — must be answered from the index without a fresh
-     check, and the reused placements must cover the smaller needs. *)
-  let small = [| v ~clb:90 ~bram:1 ~dsp:0 |] in
-  (match (Fp_cache.check cache d small).Floorplanner.verdict with
-  | Floorplanner.Feasible p ->
-    Alcotest.(check (result unit string))
-      "reused placements validate" (Ok ())
-      (Floorplanner.validate d ~needs:small p)
-  | _ -> Alcotest.fail "embedded query must derive Feasible");
-  let st = Fp_cache.stats cache in
-  Alcotest.(check int) "one subsumption hit" 1 st.Fp_cache.sub_hits;
-  Alcotest.(check int) "one miss" 1 st.Fp_cache.misses;
-  (* Derived verdicts are promoted: the same query again is an exact
-     hit, not a second subsumption probe. *)
-  ignore (Fp_cache.check cache d small);
-  let st = Fp_cache.stats cache in
-  Alcotest.(check int) "promotion gives exact hit" 1 st.Fp_cache.hits;
-  Alcotest.(check int) "no extra subsumption hit" 1 st.Fp_cache.sub_hits
-
-let test_cache_subsumption_infeasible () =
-  let d = Device.minifab in
-  let cache = Fp_cache.create () in
-  (* Two full-column BRAM regions are provably infeasible (one BRAM
-     column, two rows, 10 BRAM per tile). *)
-  let small = [| v ~clb:0 ~bram:11 ~dsp:0; v ~clb:0 ~bram:11 ~dsp:0 |] in
-  (match (Fp_cache.check cache d small).Floorplanner.verdict with
-  | Floorplanner.Infeasible -> ()
-  | _ -> Alcotest.fail "base set must be infeasible");
-  (* Any superset that the stored set embeds into inherits the proof. *)
-  let bigger =
-    [| v ~clb:50 ~bram:0 ~dsp:0; v ~clb:0 ~bram:11 ~dsp:0;
-       v ~clb:10 ~bram:11 ~dsp:0 |]
+  let verdict needs =
+    (Fp_cache.check cache ~node_limit:0 d needs).Floorplanner.verdict
   in
-  (match (Fp_cache.check cache d bigger).Floorplanner.verdict with
-  | Floorplanner.Infeasible -> ()
-  | _ -> Alcotest.fail "dominating query must derive Infeasible");
-  let st = Fp_cache.stats cache in
-  Alcotest.(check int) "one subsumption hit" 1 st.Fp_cache.sub_hits;
-  Alcotest.(check int) "one miss" 1 st.Fp_cache.misses
-
-let test_cache_unknown_never_subsumed () =
-  let d = Device.minifab in
-  let cache = Fp_cache.create () in
-  (* With a zero node budget the greedy pre-pass fails on this set and
-     the search returns Unknown (found by enumeration; re-verified
-     here). Unknown must reach the exact table only — a smaller embedded
-     query must run its own check rather than inherit the non-verdict. *)
-  let vague = [| v ~clb:215 ~bram:10 ~dsp:5; v ~clb:285 ~bram:1 ~dsp:0 |] in
-  (match
-     (Fp_cache.check cache ~node_limit:0 d vague).Floorplanner.verdict
-   with
+  (match verdict vague with
   | Floorplanner.Unknown -> ()
   | _ -> Alcotest.fail "expected Unknown under a zero node budget");
-  let smaller = [| v ~clb:250 ~bram:1 ~dsp:0; v ~clb:100 ~bram:8 ~dsp:3 |] in
-  ignore (Fp_cache.check cache ~node_limit:0 d smaller);
+  (match verdict [| vague.(1); vague.(0) |] with
+  | Floorplanner.Unknown -> ()
+  | _ -> Alcotest.fail "the stored Unknown must be replayed");
   let st = Fp_cache.stats cache in
-  Alcotest.(check int) "no subsumption hits" 0 st.Fp_cache.sub_hits;
-  Alcotest.(check int) "both queries miss" 2 st.Fp_cache.misses
+  Alcotest.(check int) "one miss" 1 st.Fp_cache.misses;
+  Alcotest.(check int) "one insert" 1 st.Fp_cache.inserts;
+  Alcotest.(check int) "one L2 hit" 1 st.Fp_cache.hits
 
 let test_cache_stripe_stats_sum () =
   let d = Device.minifab in
@@ -331,21 +297,16 @@ let test_cache_stripe_stats_sum () =
   ignore (Fp_cache.check cache d [| v ~clb:50 ~bram:0 ~dsp:0 |]);
   let sum =
     Array.fold_left
-      (fun (h, s, m, i) (st : Fp_cache.stats) ->
-        ( h + st.Fp_cache.hits,
-          s + st.Fp_cache.sub_hits,
-          m + st.Fp_cache.misses,
-          i + st.Fp_cache.inserts ))
-      (0, 0, 0, 0)
+      (fun (h, m, i) (st : Fp_cache.stats) ->
+        (h + st.Fp_cache.hits, m + st.Fp_cache.misses, i + st.Fp_cache.inserts))
+      (0, 0, 0)
       (Fp_cache.stripe_stats cache)
   in
   let st = Fp_cache.stats cache in
-  Alcotest.(check (pair (pair int int) (pair int int)))
+  Alcotest.(check (triple int int int))
     "stripes sum to totals"
-    ( (st.Fp_cache.hits, st.Fp_cache.sub_hits),
-      (st.Fp_cache.misses, st.Fp_cache.inserts) )
-    (let h, s, m, i = sum in
-     ((h, s), (m, i)))
+    (st.Fp_cache.hits, st.Fp_cache.misses, st.Fp_cache.inserts)
+    sum
 
 let test_cache_l1_epoch_flush () =
   let d = Device.minifab in
@@ -372,9 +333,9 @@ let test_cache_l1_epoch_flush () =
 
 (* Multi-domain stress: several workers hammer one shared cache (with a
    writer interleaving device invalidations) and every verdict must
-   agree with the uncached sequential oracle — [Floorplanner.check] is a
-   pure function of (device, needs), so no interleaving may change an
-   answer. Afterwards the cache is quiescent, so the lock-free counters
+   agree with the uncached sequential oracle on the sorted needs —
+   [Floorplanner.check] is a pure function of (device, needs) and the
+   cache only memoizes it, so no interleaving may change an answer. Afterwards the cache is quiescent, so the lock-free counters
    must account for every lookup exactly once and the per-stripe rows
    must sum to the totals. *)
 let prop_cache_concurrent_matches_oracle =
@@ -393,11 +354,6 @@ let prop_cache_concurrent_matches_oracle =
       [| v ~clb:600 ~bram:0 ~dsp:0 |];
     |]
   in
-  let kind = function
-    | Floorplanner.Feasible _ -> `Feasible
-    | Floorplanner.Infeasible -> `Infeasible
-    | Floorplanner.Unknown -> `Unknown
-  in
   QCheck.Test.make ~count:4
     ~name:"concurrent fp_cache agrees with the sequential oracle"
     QCheck.(
@@ -411,7 +367,9 @@ let prop_cache_concurrent_matches_oracle =
       let oracle =
         Array.map
           (fun (di, ni) ->
-            kind (Floorplanner.check devices.(di) pool.(ni)).Floorplanner.verdict)
+            kind
+              (Floorplanner.check devices.(di) (sorted pool.(ni)))
+                .Floorplanner.verdict)
           ops
       in
       let cache = Fp_cache.create ~stripes:4 () in
@@ -425,10 +383,7 @@ let prop_cache_concurrent_matches_oracle =
                    Fp_cache.invalidate_device cache devices.(0);
                  let r = Fp_cache.check cache devices.(di) pool.(ni) in
                  let ok =
-                   (* a decisive oracle verdict must be reproduced; the
-                      cache may only refine an [Unknown] *)
-                   (oracle.(i) = `Unknown
-                   || kind r.Floorplanner.verdict = oracle.(i))
+                   kind r.Floorplanner.verdict = oracle.(i)
                    &&
                    match r.Floorplanner.verdict with
                    | Floorplanner.Feasible rects ->
@@ -444,7 +399,6 @@ let prop_cache_concurrent_matches_oracle =
       Atomic.get failures = 0
       && Fp_cache.lookups st = jobs * Array.length ops
       && sum (fun r -> r.Fp_cache.hits) = st.Fp_cache.hits
-      && sum (fun r -> r.Fp_cache.sub_hits) = st.Fp_cache.sub_hits
       && sum (fun r -> r.Fp_cache.misses) = st.Fp_cache.misses
       && sum (fun r -> r.Fp_cache.inserts) = st.Fp_cache.inserts
       && Array.for_all (fun r -> r.Fp_cache.l1_hits = 0) rows)
@@ -525,54 +479,70 @@ let prop_packer_v2_agrees_v1 =
         false (* v2 lost decisiveness *)
       | _ -> true)
 
-(* Cached/derived verdicts against a direct check: the subsumption index
-   must never contradict the engine it fronts, and every placement it
-   hands back must validate against the actual query. Sequences of
-   related queries (scaled/truncated variants of a base set) exercise
-   the embedding paths. *)
-let prop_cache_consistent_with_direct =
-  QCheck.Test.make ~count:60 ~name:"subsumption cache vs direct check"
-    QCheck.(pair int (int_range 1 4))
+(* Verdict transparency over sequences of related queries (scaled,
+   truncated, permuted and repeated variants of a base set, under node
+   budgets small enough to yield [Unknown], plus a known [Unknown]
+   set): every cached verdict is the
+   engine's verdict on the sorted needs, feasible placements validate in
+   the caller's order, and a second cache fed the same queries in
+   reverse hands out the same verdicts — nothing depends on what was
+   inserted before. *)
+let prop_cache_verdict_transparent =
+  QCheck.Test.make ~count:60 ~name:"cache verdict-transparent"
+    QCheck.(pair int (int_range 1 3))
     (fun (seed, count) ->
       let rng = Rng.create seed in
       let d = Device.minifab in
       let base =
         Array.init count (fun _ ->
             v
-              ~clb:(50 + Rng.int rng 250)
-              ~bram:(Rng.int rng 11)
-              ~dsp:(Rng.int rng 21))
+              ~clb:(100 + Rng.int rng 200)
+              ~bram:(Rng.int rng 6)
+              ~dsp:(Rng.int rng 6))
       in
-      let variants =
-        [
-          base;
-          Array.map (fun r -> Resource.scale r 0.9) base;
-          Array.map (fun r -> Resource.scale r 0.81) base;
-          Array.sub base 0 (Stdlib.max 1 (count - 1));
-          Array.map (fun r -> Resource.scale r 1.1) base;
-          base;
-        ]
+      let limits = [| None; Some 0; Some 5 |] in
+      let query needs =
+        ( limits.(Rng.int rng (Array.length limits)),
+          Array.map
+            (fun r -> Resource.max_components r (v ~clb:1 ~bram:0 ~dsp:0))
+            needs )
       in
-      let cache = Fp_cache.create ~debug:true () in
-      List.for_all
-        (fun needs ->
-          let needs =
-            Array.map (fun (r : Resource.t) -> Resource.max_components r
-              (v ~clb:1 ~bram:0 ~dsp:0)) needs
-          in
-          let cached = (Fp_cache.check cache d needs).Floorplanner.verdict in
-          let direct = (Floorplanner.check d needs).Floorplanner.verdict in
-          (match cached with
-          | Floorplanner.Feasible pl ->
-            Floorplanner.validate d ~needs pl = Ok ()
-          | _ -> true)
-          &&
-          match (cached, direct) with
-          | Floorplanner.Feasible _, Floorplanner.Infeasible
-          | Floorplanner.Infeasible, Floorplanner.Feasible _ ->
-            false
-          | _ -> true)
-        variants)
+      let first = query base in
+      let queries =
+        first
+        :: List.map query
+             [
+               Array.map (fun r -> Resource.scale r 0.9) base;
+               Array.map (fun r -> Resource.scale r 0.81) base;
+               Array.sub base 0 (Stdlib.max 1 (count - 1));
+               Array.map (fun r -> Resource.scale r 1.1) base;
+               Array.of_list (List.rev (Array.to_list base));
+             ]
+        @ [ first; (Some 0, vague); (Some 0, [| vague.(1); vague.(0) |]) ]
+      in
+      let run queries =
+        let cache = Fp_cache.create () in
+        List.map
+          (fun (node_limit, needs) ->
+            (Fp_cache.check cache ?node_limit d needs).Floorplanner.verdict)
+          queries
+      in
+      let forward = run queries in
+      let backward = List.rev (run (List.rev queries)) in
+      forward = backward
+      && List.for_all2
+           (fun (node_limit, needs) cached ->
+             let direct =
+               (Floorplanner.check ?node_limit d (sorted needs))
+                 .Floorplanner.verdict
+             in
+             kind cached = kind direct
+             &&
+             match cached with
+             | Floorplanner.Feasible pl ->
+               Floorplanner.validate d ~needs pl = Ok ()
+             | _ -> true)
+           queries forward)
 
 let () =
   Alcotest.run "floorplan"
@@ -622,12 +592,8 @@ let () =
             test_cache_counters_and_permutation;
           Alcotest.test_case "invalidate by device" `Quick
             test_cache_invalidate_device;
-          Alcotest.test_case "subsumption feasible" `Quick
-            test_cache_subsumption_feasible;
-          Alcotest.test_case "subsumption infeasible" `Quick
-            test_cache_subsumption_infeasible;
-          Alcotest.test_case "unknown never subsumed" `Quick
-            test_cache_unknown_never_subsumed;
+          Alcotest.test_case "unknown stored and replayed" `Quick
+            test_cache_unknown_replayed;
           Alcotest.test_case "stripe stats sum" `Quick
             test_cache_stripe_stats_sum;
           Alcotest.test_case "L1 epoch flush" `Quick test_cache_l1_epoch_flush;
@@ -638,6 +604,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_engines_consistent;
           QCheck_alcotest.to_alcotest prop_grid_candidates_identical;
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1;
-          QCheck_alcotest.to_alcotest prop_cache_consistent_with_direct;
+          QCheck_alcotest.to_alcotest prop_cache_verdict_transparent;
         ] );
     ]

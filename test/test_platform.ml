@@ -228,6 +228,22 @@ let test_io_rejects_cyclic_graph () =
         Alcotest.(check string) "load reports the cycle"
           "dependency cycle through tasks 1 -> 0 -> 1" msg)
 
+(* [load] is total: an unreadable path comes back as an [Error], never
+   as a [Sys_error] escaping from the read. *)
+let test_io_load_directory () =
+  let dir = Filename.temp_dir "resched_io" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      match Io.load dir with
+      | Ok _ -> Alcotest.fail "load accepted a directory"
+      | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "load raised %s on a directory" (Printexc.to_string e));
+  match Io.load (Filename.concat dir "missing.inst") with
+  | Ok _ -> Alcotest.fail "load accepted a missing file"
+  | Error _ -> ()
+
 let test_io_comments_and_blank_lines () =
   let text =
     "# a comment\n\narch processors 1 recfreq 3200 device minifab\ntasks 1\n\
@@ -283,6 +299,8 @@ let () =
             test_io_rejects_invalid_values;
           Alcotest.test_case "rejects cyclic graph" `Quick
             test_io_rejects_cyclic_graph;
+          Alcotest.test_case "load on a directory is an Error" `Quick
+            test_io_load_directory;
           Alcotest.test_case "comments" `Quick test_io_comments_and_blank_lines;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_suite_roundtrip ]);

@@ -122,13 +122,13 @@ let rejection sim id =
    shared one by the Batch/Fp_cache contract). *)
 let offline inst ~seed ~min_iterations =
   Pa_random.run
-    ~cache:(Fp_cache.create ~subsumption:false ())
+    ~cache:(Fp_cache.create ())
     ~seed ~min_iterations ~budget_seconds:0. inst
 
 let check_identity ~what inst ~seed (c : Protocol.completion) =
   if c.Protocol.c_degrade = 2 then begin
     let s =
-      List_sched.run ~cache:(Fp_cache.create ~subsumption:false ()) inst
+      List_sched.run ~cache:(Fp_cache.create ()) inst
     in
     Alcotest.(check (option int))
       (what ^ ": heuristic-rung makespan = offline List_sched")

@@ -120,6 +120,11 @@ let check_floorplan v j =
           "floorplan: %d-task group packer v2 contradicts (or is less \
            decisive than) v1"
           tasks;
+      if get_bool [ "v1_identical" ] g = Some false then
+        fail v
+          "floorplan: %d-task group bitset v1 differs from the reference \
+           list v1"
+          tasks;
       match (get_int [ "makespan_v2" ] g, get_int [ "makespan_v1" ] g) with
       | Some b, Some a when b > a ->
         fail v "floorplan: %d-task group PA-R makespan %d (v2) > %d (v1)"
@@ -127,6 +132,8 @@ let check_floorplan v j =
       | _ -> ());
   if get_bool [ "all_identical" ] j <> Some true then
     fail v "floorplan: all_identical is not true";
+  if get_bool [ "v1_identical" ] j <> Some true then
+    fail v "floorplan: v1_identical is not true";
   if get_bool [ "makespans_never_worse" ] j <> Some true then
     fail v "floorplan: makespans_never_worse is not true";
   (match get_float [ "speedup_large_groups" ] j with
@@ -437,6 +444,7 @@ let verdict_flags =
     ("milp", [ "never_worse" ]);
     ("milp", [ "lp_kernel"; "all_agree" ]);
     ("floorplan", [ "all_identical" ]);
+    ("floorplan", [ "v1_identical" ]);
     ("floorplan", [ "makespans_never_worse" ]);
     ("faults", [ "sw_policies_full_recovery" ]);
     ("faults", [ "all_valid" ]);

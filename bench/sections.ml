@@ -22,6 +22,7 @@ module Branch_bound = Resched_milp.Branch_bound
 module Ilp_exact = Resched_baseline.Ilp_exact
 module Floorplanner = Resched_floorplan.Floorplanner
 module Fp_cache = Resched_floorplan.Fp_cache
+module Packer = Resched_floorplan.Packer
 module Domain_pool = Resched_util.Domain_pool
 module Pa = Resched_core.Pa
 module Pa_random = Resched_core.Pa_random
@@ -2207,6 +2208,10 @@ type fp_row = {
   fr_misses : int;
   fr_ms_v1 : int;
   fr_ms_v2 : int;
+  fr_v1_identical : bool;
+  fr_fallbacks : int;
+  fr_exact_nodes : int;
+  fr_fallback_nodes : int;
 }
 
 (* Region need-sets a PA-R search would actually send to the oracle:
@@ -2246,7 +2251,8 @@ let floorplan_oracle_comparison () =
   let t =
     Table.create
       [ "# Tasks"; "checks"; "v1 [s]"; "v2 [s]"; "checks/s v1";
-        "checks/s v2"; "speedup"; "identical"; "hit rate" ]
+        "checks/s v2"; "speedup"; "identical"; "v1 = ref"; "fallbacks";
+        "hit rate" ]
   in
   let verdict_class (r : Floorplanner.report) =
     match r.Floorplanner.verdict with
@@ -2307,6 +2313,28 @@ let floorplan_oracle_comparison () =
                        tasks msg))
               | _ -> ())
             stream reports_v2;
+          (* The bitset v1 search against the list-based reference: same
+             verdict constructor, same placements, check by check. *)
+          let v1_identical =
+            List.for_all2
+              (fun needs (r : Floorplanner.report) ->
+                match
+                  ( r.Floorplanner.verdict,
+                    Reference.pack_v1 ~node_limit:200_000 device needs )
+                with
+                | Floorplanner.Feasible a, Packer.Placed b -> a = b
+                | Floorplanner.Infeasible, Packer.Infeasible
+                | Floorplanner.Unknown, Packer.Unknown ->
+                  true
+                | _ -> false)
+              stream reports_v1
+          in
+          (* v2's search effort on the stream: restart-portfolio nodes,
+             and how often (and how deep) the v1 fallback ran. *)
+          let effort = Packer.new_stats () in
+          List.iter
+            (fun needs -> ignore (Packer.pack ~stats:effort device needs))
+            stream;
           (* Replay the same stream through a fresh cache: repeated
              need multisets (up to permutation) are the hits. *)
           let cache = Fp_cache.create () in
@@ -2342,6 +2370,10 @@ let floorplan_oracle_comparison () =
               fr_misses = st.Fp_cache.misses;
               fr_ms_v1 = ms_v1;
               fr_ms_v2 = ms_v2;
+              fr_v1_identical = v1_identical;
+              fr_fallbacks = effort.Packer.fallbacks;
+              fr_exact_nodes = effort.Packer.exact_nodes;
+              fr_fallback_nodes = effort.Packer.fallback_nodes;
             }
           in
           let per_s sec = float_of_int checks /. Float.max sec 1e-9 in
@@ -2355,6 +2387,8 @@ let floorplan_oracle_comparison () =
               Table.cell_f ~decimals:0 (per_s s_v2);
               Printf.sprintf "x%.2f" (s_v1 /. Float.max s_v2 1e-9);
               (if identical then "yes" else "NO");
+              (if v1_identical then "yes" else "NO");
+              string_of_int effort.Packer.fallbacks;
               Printf.sprintf "%.0f%%" (100. *. Fp_cache.hit_rate st);
             ];
           row
@@ -2365,7 +2399,8 @@ let floorplan_oracle_comparison () =
   write_csv "floorplan.csv"
     ([ "tasks"; "checks"; "seconds_v1"; "seconds_v2"; "speedup";
        "identical"; "refined"; "cache_hits"; "cache_misses"; "makespan_v1";
-       "makespan_v2" ]
+       "makespan_v2"; "v1_identical"; "fallbacks"; "exact_nodes";
+       "fallback_nodes" ]
     :: List.map
          (fun r ->
            [
@@ -2380,6 +2415,10 @@ let floorplan_oracle_comparison () =
              string_of_int r.fr_misses;
              string_of_int r.fr_ms_v1;
              string_of_int r.fr_ms_v2;
+             string_of_bool r.fr_v1_identical;
+             string_of_int r.fr_fallbacks;
+             string_of_int r.fr_exact_nodes;
+             string_of_int r.fr_fallback_nodes;
            ])
          rows);
   (* Aggregate speedup over the largest groups (>= 60 tasks when present,
@@ -2391,6 +2430,7 @@ let floorplan_oracle_comparison () =
     sum (fun r -> r.fr_s_v1) agg /. Float.max (sum (fun r -> r.fr_s_v2) agg) 1e-9
   in
   let all_identical = List.for_all (fun r -> r.fr_identical) rows in
+  let v1_identical = List.for_all (fun r -> r.fr_v1_identical) rows in
   (* -1 means no schedule found; v2 finding one where v1 did not is an
      improvement, not a regression. *)
   let makespans_never_worse =
@@ -2406,16 +2446,17 @@ let floorplan_oracle_comparison () =
   let total_refined = List.fold_left (fun a r -> a + r.fr_refined) 0 rows in
   Printf.printf
     "  oracle speedup on %s groups: x%.2f; verdicts identical: %b (%d \
-     refined from v1 Unknown); PA-R makespans never worse: %b; cache %d \
-     hits / %d misses (%.1f%%)\n"
+     refined from v1 Unknown); bitset v1 = reference list v1: %b; PA-R \
+     makespans never worse: %b; cache %d hits / %d misses (%.1f%%)\n"
     (if big = [] then "all" else ">=60-task")
-    speedup_large all_identical total_refined makespans_never_worse total_hits
-    total_misses (100. *. combined_rate);
+    speedup_large all_identical total_refined v1_identical
+    makespans_never_worse total_hits total_misses (100. *. combined_rate);
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
   Printf.bprintf buf "  \"checks_per_group\": %d,\n" fp_checks_per_group;
   Printf.bprintf buf "  \"e2e_iterations\": %d,\n" fp_e2e_iters;
+  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   Buffer.add_string buf "  \"groups\": [\n";
   List.iteri
     (fun i r ->
@@ -2424,18 +2465,22 @@ let floorplan_oracle_comparison () =
          \"seconds_v2\": %.4f, \"checks_per_s_v1\": %.1f, \
          \"checks_per_s_v2\": %.1f, \"speedup\": %.3f, \"identical\": %b, \
          \"refined\": %d, \"cache\": {\"hits\": %d, \"misses\": %d, \
-         \"hit_rate\": %.3f}, \"makespan_v1\": %d, \"makespan_v2\": %d}%s\n"
+         \"hit_rate\": %.3f}, \"makespan_v1\": %d, \"makespan_v2\": %d, \
+         \"v1_identical\": %b, \"fallbacks\": %d, \"exact_nodes\": %d, \
+         \"fallback_nodes\": %d}%s\n"
         r.fr_tasks r.fr_checks r.fr_s_v1 r.fr_s_v2
         (float_of_int r.fr_checks /. Float.max r.fr_s_v1 1e-9)
         (float_of_int r.fr_checks /. Float.max r.fr_s_v2 1e-9)
         (r.fr_s_v1 /. Float.max r.fr_s_v2 1e-9)
         r.fr_identical r.fr_refined r.fr_hits r.fr_misses
         (hit_rate r.fr_hits r.fr_misses)
-        r.fr_ms_v1 r.fr_ms_v2
+        r.fr_ms_v1 r.fr_ms_v2 r.fr_v1_identical r.fr_fallbacks
+        r.fr_exact_nodes r.fr_fallback_nodes
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Buffer.add_string buf "  ],\n";
   Printf.bprintf buf "  \"all_identical\": %b,\n" all_identical;
+  Printf.bprintf buf "  \"v1_identical\": %b,\n" v1_identical;
   Printf.bprintf buf "  \"refined\": %d,\n" total_refined;
   Printf.bprintf buf "  \"makespans_never_worse\": %b,\n"
     makespans_never_worse;

@@ -792,7 +792,7 @@ let ctrl_insert d s ~ready =
      aim backward in time, where [path_exists] exits immediately on its
      time window. This sidesteps the wide-open forward windows that a
      full-chain scan would pay on every late slot. *)
-  let p0 = Stdlib.min len (Stdlib.max !lo !desired) in
+  let p0 = Int.min len (Int.max !lo !desired) in
   let hi = ref max_int in
   let q = ref 0 in
   let j = ref d.ctrl_head in
@@ -804,7 +804,7 @@ let ctrl_insert d s ~ready =
   done;
   let hi = if !hi = max_int then len else !hi in
   if !lo > hi then raise Reject;
-  let p = Stdlib.max !lo (Stdlib.min hi !desired) in
+  let p = Int.max !lo (Int.min hi !desired) in
   (* link [s] so that it lands at position [p] *)
   let after = ref (-1) and cur = ref d.ctrl_head in
   for _ = 1 to p do
@@ -816,7 +816,7 @@ let ctrl_insert d s ~ready =
      at least its controller predecessor, so the edges inserted below
      rarely break the reachability-pruning potential. *)
   let guess =
-    if !after >= 0 then Stdlib.max ready d.t.(sp_node d !after) else ready
+    if !after >= 0 then Int.max ready d.t.(sp_node d !after) else ready
   in
   seti d F_t (sp_node d s) guess;
   seti d F_sp_cprev s !after;

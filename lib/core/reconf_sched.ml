@@ -75,12 +75,12 @@ let run_hot ?module_reuse arena state =
     for pos = 0 to !len - 1 do
       let j = seq.(pos) in
       if Timing.must_precede_closure closure specs.(j) specs.(k) then
-        lo := Stdlib.max !lo (pos + 1);
+        lo := Int.max !lo (pos + 1);
       if Timing.must_precede_closure closure specs.(k) specs.(j) then
-        hi := Stdlib.min !hi pos
+        hi := Int.min !hi pos
     done;
     assert (!lo <= !hi);
-    let pos = Stdlib.max !lo (Stdlib.min !hi desired) in
+    let pos = Int.max !lo (Int.min !hi desired) in
     for i = !len downto pos + 1 do
       seq.(i) <- seq.(i - 1)
     done;

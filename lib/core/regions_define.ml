@@ -162,6 +162,11 @@ let run ?module_reuse ~ordering state =
   let efficiency u = Cost.efficiency state.State.cost (State.impl state u) in
   let cost u = Cost.cost state.State.cost (State.impl state u) in
   sort_segment ~base:0 ~len:nc ~desc:true efficiency;
+  for i = 0 to nc - 1 do
+    place_critical ?module_reuse state ~task:tasks.(i)
+  done;
+  (* The non-critical order is taken after the critical placements:
+     [Topological]'s keys are the windows those placements moved. *)
   (match ordering with
   | By_efficiency -> sort_segment ~base:nc ~len:nnc ~desc:true efficiency
   | By_cost -> sort_segment ~base:nc ~len:nnc ~desc:false cost
@@ -175,9 +180,6 @@ let run ?module_reuse ~ordering state =
       tasks.(nc + i) <- tasks.(nc + j);
       tasks.(nc + j) <- tmp
     done);
-  for i = 0 to nc - 1 do
-    place_critical ?module_reuse state ~task:tasks.(i)
-  done;
   for i = nc to nc + nnc - 1 do
     place_non_critical state ~task:tasks.(i)
   done

@@ -5,7 +5,7 @@ module Impl = Resched_platform.Impl
 let tot_rec_time state =
   let acc = ref 0 in
   State.iter_regions state (fun (r : State.region) ->
-      acc := !acc + (r.State.reconf * Stdlib.max 0 (List.length r.State.tasks - 1)));
+      acc := !acc + (r.State.reconf * Int.max 0 (List.length r.State.tasks - 1)));
   !acc
 
 (* Cheapest hardware implementation of [task] that fits [region]: the

@@ -2,7 +2,7 @@ module Graph = Resched_taskgraph.Graph
 module Instance = Resched_platform.Instance
 
 let delay state ~task ~last_end =
-  Stdlib.max 0 (last_end - State.t_min state task)
+  Int.max 0 (last_end - State.t_min state task)
 
 (* Totally order [task] against every task already on the processor: a
    dependency path (either way) already orders the pair; otherwise an
@@ -71,7 +71,7 @@ let run ?(incremental = true) state =
     let best_p = ref 0 and best_lambda = ref max_int in
     for p = 0 to processors - 1 do
       let last_end =
-        List.fold_left (fun acc u -> Stdlib.max acc (end_of u)) 0
+        List.fold_left (fun acc u -> Int.max acc (end_of u)) 0
           on_processor.(p)
       in
       let lambda = delay state ~task ~last_end in

@@ -10,22 +10,19 @@ type outcome =
 
 let candidates_per_region = 12
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
 let pack ?(node_limit = 2_000) ?jobs device needs =
   let n = Array.length needs in
   if n = 0 then Placed [||]
   else begin
     let truncated = ref false in
+    let g = Placement.grid device in
     let cands =
       Array.map
         (fun need ->
-          let all = Placement.candidates device need in
-          if List.length all > candidates_per_region then truncated := true;
-          take candidates_per_region all)
+          let all = Placement.grid_candidates g need in
+          if Array.length all > candidates_per_region then truncated := true;
+          Array.to_list
+            (Array.sub all 0 (Int.min candidates_per_region (Array.length all))))
         needs
     in
     if Array.exists (fun c -> c = []) cands then Infeasible

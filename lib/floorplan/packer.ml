@@ -52,7 +52,7 @@ let min_tiles ~rows ~profile (need : Resource.t) =
           end
         end)
       profile;
-    if !ok then best := Stdlib.min !best (h * !width)
+    if !ok then best := Int.min !best (h * !width)
   done;
   !best  (* max_int when no height admits a cover: region cannot fit *)
 
@@ -91,111 +91,145 @@ let capacity_bounds_ok device needs =
   !possible && !area <= ncols * rows
 
 (* ------------------------------------------------------------------ *)
-(* v1: first-fit greedy + naive backtracking over [Placement.candidates]
-   lists. Kept verbatim as the oracle for equivalence tests. *)
+(* Occupancy: one bit per column x clock-region tile, 63 columns per
+   word, [words_per_row] words per row, so an overlap test is a few
+   word ANDs. A rect's column masks follow from its coordinates, so
+   candidates carry no precomputed masks. Both engines search on this
+   one primitive. *)
 
-let greedy needs_order cands =
-  let n = Array.length cands in
-  let chosen = Array.make n None in
-  let ok =
-    List.for_all
-      (fun region ->
-        let free rect =
-          Array.for_all
-            (function
-              | Some placed -> not (Placement.overlap placed rect)
-              | None -> true)
-            chosen
-        in
-        match List.find_opt free cands.(region) with
-        | Some rect ->
-          chosen.(region) <- Some rect;
-          true
-        | None -> false)
-      needs_order
-  in
-  if ok then
-    Some (Array.map (function Some r -> r | None -> assert false) chosen)
-  else None
+let bits_per_word = 63
 
-(* The v1 search over prebuilt candidate lists: [pack_v1] passes the
-   lists [Placement.candidates] returns; the v2 fallback passes the
-   identical lists it already built via [Placement.grid_candidates]
-   (same rects, same order — pinned by a qcheck property), skipping the
-   re-enumeration. *)
-let pack_v1_on ~node_limit needs cands =
+type occupancy = { words_per_row : int; bits : int array }
+
+let occupancy device =
+  let ncols = Array.length device.Device.columns in
+  let words_per_row = (ncols + bits_per_word - 1) / bits_per_word in
+  { words_per_row; bits = Array.make (device.Device.rows * words_per_row) 0 }
+
+let occ_clear o = Array.fill o.bits 0 (Array.length o.bits) 0
+
+(* Columns [c0..c1] that fall in word [w], as a mask of that word. *)
+let[@inline] word_mask w c0 c1 =
+  let base = w * bits_per_word in
+  let lo = if c0 > base then c0 - base else 0 in
+  let hi = if c1 - base < bits_per_word then c1 - base else bits_per_word - 1 in
+  (-1 lsr (bits_per_word - 1 - hi + lo)) lsl lo
+
+let free o (r : Placement.rect) =
+  let c0 = r.Placement.c0 and c1 = r.Placement.c1 in
+  let w0 = c0 / bits_per_word and w1 = c1 / bits_per_word in
+  let ok = ref true and row = ref r.Placement.r0 in
+  while !ok && !row <= r.Placement.r1 do
+    let base = !row * o.words_per_row in
+    let w = ref w0 in
+    while !ok && !w <= w1 do
+      if o.bits.(base + !w) land word_mask !w c0 c1 <> 0 then ok := false;
+      incr w
+    done;
+    incr row
+  done;
+  !ok
+
+let place o (r : Placement.rect) =
+  let c0 = r.Placement.c0 and c1 = r.Placement.c1 in
+  for row = r.Placement.r0 to r.Placement.r1 do
+    let base = row * o.words_per_row in
+    for w = c0 / bits_per_word to c1 / bits_per_word do
+      o.bits.(base + w) <- o.bits.(base + w) lor word_mask w c0 c1
+    done
+  done
+
+let unplace o (r : Placement.rect) =
+  let c0 = r.Placement.c0 and c1 = r.Placement.c1 in
+  for row = r.Placement.r0 to r.Placement.r1 do
+    let base = row * o.words_per_row in
+    for w = c0 / bits_per_word to c1 / bits_per_word do
+      o.bits.(base + w) <- o.bits.(base + w) land lnot (word_mask w c0 c1)
+    done
+  done
+
+type stats = {
+  mutable fallbacks : int;
+  mutable exact_nodes : int;
+  mutable fallback_nodes : int;
+}
+
+let new_stats () = { fallbacks = 0; exact_nodes = 0; fallback_nodes = 0 }
+
+(* ------------------------------------------------------------------ *)
+(* v1: first-fit greedy passes, then naive backtracking, over the raw
+   (unpruned) candidate arrays. Node accounting: one node per candidate
+   the exact search looks at, free or not, and [Unknown] as soon as the
+   count passes [node_limit]. Returns the outcome and that count. *)
+
+let search_v1 ~node_limit o needs (cands : Placement.rect array array) =
   let n = Array.length needs in
-  if n = 0 then Placed [||]
+  if n = 0 then (Placed [||], 0)
+  else if Array.exists (fun c -> Array.length c = 0) cands then (Infeasible, 0)
   else begin
-    if Array.exists (fun c -> c = []) cands then Infeasible
+    let total = Array.map Resource.total_units needs in
+    (* hardest first: fewest candidates, then biggest demand *)
+    let by_cand_count = Array.init n Fun.id in
+    Array.stable_sort
+      (fun a b ->
+        let c = Int.compare (Array.length cands.(a)) (Array.length cands.(b)) in
+        if c <> 0 then c else Int.compare total.(b) total.(a))
+      by_cand_count;
+    let by_area_desc = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare total.(b) total.(a)) by_area_desc;
+    let chosen = Array.make n cands.(0).(0) in
+    let greedy order =
+      occ_clear o;
+      Array.for_all
+        (fun region ->
+          let cs = cands.(region) in
+          let m = Array.length cs in
+          let i = ref 0 in
+          while !i < m && not (free o cs.(!i)) do incr i done;
+          !i < m
+          && begin
+            place o cs.(!i);
+            chosen.(region) <- cs.(!i);
+            true
+          end)
+        order
+    in
+    if greedy by_cand_count || greedy by_area_desc then
+      (Placed (Array.copy chosen), 0)
     else begin
-      let indices = List.init n (fun i -> i) in
-      let by_cand_count =
-        List.sort
-          (fun a b ->
-            let c = compare (List.length cands.(a)) (List.length cands.(b)) in
-            if c <> 0 then c
-            else
-              compare
-                (Resource.total_units needs.(b))
-                (Resource.total_units needs.(a)))
-          indices
+      occ_clear o;
+      let nodes = ref 0 in
+      let rec go k =
+        if k = n then raise (Done (Array.copy chosen));
+        let region = by_cand_count.(k) in
+        let cs = cands.(region) in
+        for i = 0 to Array.length cs - 1 do
+          incr nodes;
+          if !nodes > node_limit then raise Budget;
+          let r = cs.(i) in
+          if free o r then begin
+            place o r;
+            chosen.(region) <- r;
+            go (k + 1);
+            unplace o r
+          end
+        done
       in
-      let by_area_desc =
-        List.sort
-          (fun a b ->
-            compare (Resource.total_units needs.(b))
-              (Resource.total_units needs.(a)))
-          indices
-      in
-      let greedy_result =
-        match greedy by_cand_count cands with
-        | Some p -> Some p
-        | None -> greedy by_area_desc cands
-      in
-      match greedy_result with
-      | Some placements -> Placed placements
-      | None ->
-        (* Exact search: hardest regions first, snuggest candidates
-           first; [node_limit] bounds the effort. *)
-        let order = Array.of_list by_cand_count in
-        let chosen = Array.make n None in
-        let nodes = ref 0 in
-        let rec go k =
-          if k = n then begin
-            let result =
-              Array.map (function Some r -> r | None -> assert false) chosen
-            in
-            raise (Done result)
-          end;
-          let region = order.(k) in
-          List.iter
-            (fun rect ->
-              incr nodes;
-              if !nodes > node_limit then raise Budget;
-              let clash =
-                Array.exists
-                  (function
-                    | Some placed -> Placement.overlap placed rect
-                    | None -> false)
-                  chosen
-              in
-              if not clash then begin
-                chosen.(region) <- Some rect;
-                go (k + 1);
-                chosen.(region) <- None
-              end)
-            cands.(region)
-        in
-        (match go 0 with
+      let outcome =
+        match go 0 with
         | () -> Infeasible
         | exception Done placements -> Placed placements
-        | exception Budget -> Unknown)
+        | exception Budget -> Unknown
+      in
+      (outcome, !nodes)
     end
   end
 
 let pack_v1 ~node_limit device needs =
-  pack_v1_on ~node_limit needs (Array.map (Placement.candidates device) needs)
+  let g = Placement.grid device in
+  fst
+    (search_v1 ~node_limit (occupancy device) needs
+       (Array.map (Placement.grid_candidates g) needs))
 
 (* ------------------------------------------------------------------ *)
 (* v2: column-interval packer.
@@ -207,37 +241,22 @@ let pack_v1 ~node_limit device needs =
    - symmetry breaking: regions with equal needs share one candidate
      array and must pick strictly increasing candidate indices (any
      packing of interchangeable regions can be reordered this way);
-   - dominance pruning: a candidate contained in another candidate of
-     the same region makes the container redundant (whenever the bigger
-     rect is free, so is the smaller one covering the same need);
-   - bitset occupancy: overlap tests are word-AND over per-row column
-     masks instead of a scan of already-placed rects;
+   - dominance pruning: a candidate containing another candidate of
+     the same region is redundant (whenever the bigger rect is free, so
+     is the smaller one covering the same need);
+   - the bitset occupancy above;
    - a memoized infeasible-suffix set: a (depth, first-admissible-index,
      occupancy) state that exhausted every candidate without completing
      is recorded and never re-explored from a different prefix. *)
 
 type cand = {
   k_rect : Placement.rect;
-  k_w0 : int;  (* first occupancy word of the column span *)
-  k_masks : int array;  (* per-word column masks, length k_w1-k_w0+1 *)
   k_tiles : int array;
       (* column x row tiles the rect consumes, per kind plus a total in
          the last slot — a rect occupies every column in its span, so a
          CLB-only region placed over interleaved BRAM/DSP columns still
          burns their tiles; the demand bounds below account for that. *)
 }
-
-let bits_per_word = 63
-
-let masks_of_rect ~tiles (r : Placement.rect) =
-  let w0 = r.Placement.c0 / bits_per_word in
-  let w1 = r.Placement.c1 / bits_per_word in
-  let masks = Array.make (w1 - w0 + 1) 0 in
-  for c = r.Placement.c0 to r.Placement.c1 do
-    let w = (c / bits_per_word) - w0 in
-    masks.(w) <- masks.(w) lor (1 lsl (c mod bits_per_word))
-  done;
-  { k_rect = r; k_w0 = w0; k_masks = masks; k_tiles = tiles r }
 
 (* Cross-call memo of per-need candidate sets: [grid_candidates] and the
    dominance prune are pure functions of (device, need), and schedulers
@@ -247,8 +266,8 @@ let masks_of_rect ~tiles (r : Placement.rect) =
    devices are compared structurally as a fallback so look-alike custom
    fabrics cannot alias. *)
 type need_entry = {
-  ne_raw : Placement.rect list;  (* exactly [Placement.candidates] *)
-  ne_cands : cand array;  (* dominance-pruned, with masks and tiles *)
+  ne_raw : Placement.rect array;  (* exactly [Placement.grid_candidates] *)
+  ne_cands : cand array;  (* dominance-pruned, with tiles *)
 }
 
 type device_memo = {
@@ -280,7 +299,7 @@ let device_memo_for device =
   Mutex.unlock memo_mutex;
   dm
 
-let pack_v2 ~node_limit device needs =
+let pack_v2 ?stats ~node_limit device needs =
   let n = Array.length needs in
   if n = 0 then Placed [||]
   else if not (capacity_bounds_ok device needs) then Infeasible
@@ -317,12 +336,15 @@ let pack_v2 ~node_limit device needs =
             Resource.get (Device.column_units device ~col) kind)
         Resource.kinds
     in
-    let tiles (r : Placement.rect) =
-      let res = Placement.grid_resources (Lazy.force g) r in
-      Array.init (nkinds + 1) (fun i ->
-          if i = nkinds then Placement.width r * Placement.height r
-          else if units_per_tile.(i) = 0 then 0
-          else Resource.get res Resource.kinds.(i) / units_per_tile.(i))
+    let tiles g (r : Placement.rect) =
+      let t = Array.make (nkinds + 1) (Placement.width r * Placement.height r) in
+      for i = 0 to nkinds - 1 do
+        t.(i) <-
+          (if units_per_tile.(i) = 0 then 0
+           else
+             Placement.grid_units g Resource.kinds.(i) r / units_per_tile.(i))
+      done;
+      t
     in
     (* One candidate array per distinct need (via the cross-call memo):
        equal needs must share the array for the symmetry-breaking index
@@ -337,22 +359,15 @@ let pack_v2 ~node_limit device needs =
       match hit with
       | Some e -> e
       | None ->
-        let rects = Placement.grid_candidates (Lazy.force g) need in
-        (* Dominance pruning: the list is sorted snuggest-first, so
-           only earlier (cheaper) candidates can be contained in a
-           later one; drop any rect containing a kept predecessor. *)
-        let kept = ref [] in
-        List.iter
-          (fun r ->
-            let dominated =
-              List.exists (fun a -> Placement.contains ~outer:r a) !kept
-            in
-            if not dominated then kept := r :: !kept)
-          rects;
+        let g = Lazy.force g in
+        let rects = Placement.grid_candidates g need in
         let e =
           {
             ne_raw = rects;
-            ne_cands = Array.of_list (List.rev_map (masks_of_rect ~tiles) !kept);
+            ne_cands =
+              Array.map
+                (fun r -> { k_rect = r; k_tiles = tiles g r })
+                (Placement.prune_dominated ~rows rects);
           }
         in
         Mutex.lock memo_mutex;
@@ -402,59 +417,30 @@ let pack_v2 ~node_limit device needs =
       if Array.exists2 (fun d c -> d > c) root_demand tile_capacity then
         Infeasible
       else begin
-      let words_per_row = ((ncols + bits_per_word - 1) / bits_per_word) in
-      let occ = Array.make (rows * words_per_row) 0 in
-      let occ_clear () = Array.fill occ 0 (Array.length occ) 0 in
-      let free (c : cand) =
-        let ok = ref true in
-        let r = c.k_rect in
-        let nw = Array.length c.k_masks in
-        for row = r.Placement.r0 to r.Placement.r1 do
-          let base = (row * words_per_row) + c.k_w0 in
-          for w = 0 to nw - 1 do
-            if occ.(base + w) land c.k_masks.(w) <> 0 then ok := false
-          done
-        done;
-        !ok
-      in
-      let apply op (c : cand) =
-        let r = c.k_rect in
-        let nw = Array.length c.k_masks in
-        for row = r.Placement.r0 to r.Placement.r1 do
-          let base = (row * words_per_row) + c.k_w0 in
-          for w = 0 to nw - 1 do
-            occ.(base + w) <- op occ.(base + w) c.k_masks.(w)
-          done
-        done
-      in
-      let place = apply (fun o m -> o lor m) in
-      let unplace = apply (fun o m -> o land lnot m) in
+      let occ = occupancy device in
       (* Greedy pre-pass (as in v1): first-fit over the pruned candidate
          arrays, under two orders — hardest-first (fewest candidates)
          and biggest-first. Most feasible sets in the schedulers' stream
          pack greedily; the exact search is only for the remainder. *)
       let greedy_try region_order =
-        occ_clear ();
-        let placed = Array.make n None in
+        occ_clear occ;
+        let placed = Array.make n cand_arrays.(0).(0).k_rect in
         let ok =
           Array.for_all
             (fun region ->
               let cands = cand_arrays.(region) in
               let m = Array.length cands in
               let i = ref 0 in
-              while !i < m && not (free cands.(!i)) do incr i done;
-              if !i = m then false
-              else begin
-                place cands.(!i);
-                placed.(region) <- Some cands.(!i).k_rect;
+              while !i < m && not (free occ cands.(!i).k_rect) do incr i done;
+              !i < m
+              && begin
+                place occ cands.(!i).k_rect;
+                placed.(region) <- cands.(!i).k_rect;
                 true
               end)
             region_order
         in
-        occ_clear ();
-        if ok then
-          Some (Array.map (function Some r -> r | None -> assert false) placed)
-        else None
+        if ok then Some placed else None
       in
       let by_cand_count =
         let o = Array.copy order in
@@ -496,7 +482,7 @@ let pack_v2 ~node_limit device needs =
          order; [Infeasible] needs full exhaustion and is only valid
          from a completed restart, [Done] is valid from any. *)
       let attempt region_order budget =
-        occ_clear ();
+        occ_clear occ;
         let chosen_idx = Array.make n (-1) in
         let failed : (int * int * int array, unit) Hashtbl.t =
           Hashtbl.create 64
@@ -545,7 +531,7 @@ let pack_v2 ~node_limit device needs =
                empty, no need to enumerate (or memoize) the subtree. *)
             ()
           else begin
-            let key = (k, min_idx, Array.copy occ) in
+            let key = (k, min_idx, Array.copy occ.bits) in
             if not (Hashtbl.mem failed key) then begin
               let region = region_order.(k) in
               let cands = cand_arrays.(region) in
@@ -554,8 +540,8 @@ let pack_v2 ~node_limit device needs =
                 incr nodes;
                 if !nodes > budget then raise Budget;
                 let c = cands.(i) in
-                if free c then begin
-                  place c;
+                if free occ c.k_rect then begin
+                  place occ c.k_rect;
                   spend c;
                   chosen_idx.(k) <- i;
                   let next_min =
@@ -568,17 +554,21 @@ let pack_v2 ~node_limit device needs =
                   in
                   go (k + 1) next_min;
                   refund c;
-                  unplace c
+                  unplace occ c.k_rect
                 end
               done;
               Hashtbl.add failed key ()
             end
           end
         in
-        match go 0 0 with
-        | () -> Infeasible
-        | exception Done placements -> Placed placements
-        | exception Budget -> Unknown
+        let outcome =
+          match go 0 0 with
+          | () -> Infeasible
+          | exception Done placements -> Placed placements
+          | exception Budget -> Unknown
+        in
+        Option.iter (fun st -> st.exact_nodes <- st.exact_nodes + !nodes) stats;
+        outcome
       in
       (* Restart orders. All are deterministic; all keep regions with
          equal needs adjacent (they share a candidate array, so they tie
@@ -615,18 +605,25 @@ let pack_v2 ~node_limit device needs =
         o
       in
       let ascending = Array.init n (fun i -> order.(n - 1 - i)) in
-      let slice num den = Stdlib.max 1 (node_limit * num / den) in
+      let slice num den = Int.max 1 (node_limit * num / den) in
       let rec portfolio = function
         | [] ->
           (* Portfolio fallback: every restart exhausted its slice;
              retry with the v1 search, whose different ordering
-             occasionally reaches a packing the restarts miss. Rare
-             (well under 1% of the schedulers' stream), and it makes
-             the engine never less decisive than v1 by construction.
-             Runs on the raw candidate lists already in hand — the
-             same lists v1 would rebuild. *)
-          pack_v1_on ~node_limit needs
-            (Array.map (fun e -> e.ne_raw) entries)
+             occasionally reaches a packing the restarts miss. It
+             makes the engine never less decisive than v1 by
+             construction. Runs on the raw candidate arrays already in
+             hand — the same arrays v1 would rebuild. *)
+          let outcome, nodes =
+            search_v1 ~node_limit occ needs
+              (Array.map (fun e -> e.ne_raw) entries)
+          in
+          Option.iter
+            (fun st ->
+              st.fallbacks <- st.fallbacks + 1;
+              st.fallback_nodes <- st.fallback_nodes + nodes)
+            stats;
+          outcome
         | (region_order, budget) :: rest -> (
           match attempt region_order budget with
           | Unknown -> portfolio rest
@@ -643,7 +640,8 @@ let pack_v2 ~node_limit device needs =
     end
   end
 
-let pack ?(engine = Column_interval) ?(node_limit = 200_000) device needs =
+let pack ?(engine = Column_interval) ?(node_limit = 200_000) ?stats device
+    needs =
   match engine with
   | Backtracking_v1 -> pack_v1 ~node_limit device needs
-  | Column_interval -> pack_v2 ~node_limit device needs
+  | Column_interval -> pack_v2 ?stats ~node_limit device needs

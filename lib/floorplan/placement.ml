@@ -53,25 +53,32 @@ let grid device =
   { g_device = device; g_ncols = ncols; g_rows = device.Device.rows;
     g_clb; g_bram; g_dsp; g_tot }
 
-let grid_resources g r =
-  let h = r.r1 - r.r0 + 1 in
-  Resource.make
-    ~clb:(h * (g.g_clb.(r.c1 + 1) - g.g_clb.(r.c0)))
-    ~bram:(h * (g.g_bram.(r.c1 + 1) - g.g_bram.(r.c0)))
-    ~dsp:(h * (g.g_dsp.(r.c1 + 1) - g.g_dsp.(r.c0)))
+let grid_units g kind r =
+  let cum =
+    match kind with
+    | Resource.Clb -> g.g_clb
+    | Resource.Bram -> g.g_bram
+    | Resource.Dsp -> g.g_dsp
+  in
+  (r.r1 - r.r0 + 1) * (cum.(r.c1 + 1) - cum.(r.c0))
 
-let grid_area g r =
-  (r.r1 - r.r0 + 1) * (g.g_tot.(r.c1 + 1) - g.g_tot.(r.c0))
+(* Per row span, a sliding window over columns: grow [c1] until the
+   span covers the need, shrink [c0] while it still does, record, drop
+   the left column and continue. Each recorded window is minimal both
+   ways, so within one row span the windows have strictly increasing
+   [c0] and non-decreasing [c1].
 
-(* Same enumeration as [candidates] below (same sliding window, same
-   sort, same cap — property-tested to return the identical list), but
-   on unboxed int prefix sums instead of allocated [Resource.t] values,
-   and with the sort key precomputed instead of re-deriving each rect's
-   resource vector inside the comparator. *)
+   Snuggest first is the order on (area, r0, c0, r1, c1). Each window
+   is recorded as that tuple packed into one int (mixed radix), so the
+   sort compares plain ints and the rects are decoded only for the
+   kept prefix. *)
 let grid_candidates g need =
   if Resource.is_zero need then
-    invalid_arg "Placement.candidates: zero requirement";
+    invalid_arg "Placement.grid_candidates: zero requirement";
   let ncols = g.g_ncols and rows = g.g_rows in
+  let coords = rows * ncols * rows * ncols in
+  if rows * g.g_tot.(ncols) > max_int / coords then
+    invalid_arg "Placement.grid_candidates: fabric too large";
   let n_clb = need.Resource.clb
   and n_bram = need.Resource.bram
   and n_dsp = need.Resource.dsp in
@@ -97,91 +104,100 @@ let grid_candidates g need =
           while !c0 <= !c1 && !c0 + 1 <= !c1 && covers (!c0 + 1) !c1 do
             incr c0
           done;
-          acc := { c0 = !c0; c1 = !c1; r0; r1 } :: !acc;
+          let area = h * (g.g_tot.(!c1 + 1) - g.g_tot.(!c0)) in
+          let pos = (((((r0 * ncols) + !c0) * rows) + r1) * ncols) + !c1 in
+          acc := ((area * coords) + pos) :: !acc;
           incr c0;
           if !c0 > !c1 && !c1 = ncols - 1 then continue_ := false
         end
       done
     done
   done;
-  let keyed =
-    List.map (fun r -> (grid_area g r, r)) !acc
-  in
-  let sorted =
-    List.sort
-      (fun (aa, a) (ab, b) ->
-        let c = compare aa ab in
-        if c <> 0 then c
-        else compare (a.r0, a.c0, a.r1, a.c1) (b.r0, b.c0, b.r1, b.c1))
-      keyed
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (_, x) :: tl -> x :: take (n - 1) tl
-  in
-  take candidate_count_cap sorted
+  let keys = Array.of_list !acc in
+  Array.stable_sort Int.compare keys;
+  Array.init (Int.min (Array.length keys) candidate_count_cap) (fun i ->
+      let k = keys.(i) mod coords in
+      let c1 = k mod ncols and k = k / ncols in
+      let r1 = k mod rows and k = k / rows in
+      { c0 = k mod ncols; c1; r0 = k / ncols; r1 })
 
-let candidates device need =
-  if Resource.is_zero need then
-    invalid_arg "Placement.candidates: zero requirement";
-  let ncols = Array.length device.Device.columns in
-  let rows = device.Device.rows in
-  let acc = ref [] in
-  for r0 = 0 to rows - 1 do
-    for r1 = r0 to rows - 1 do
-      let h = r1 - r0 + 1 in
-      (* Sliding window over columns: grow c1 until the window fits,
-         then record and slide c0. Per (r0, r1) this yields, for every
-         c0, the minimal c1 — but we only keep windows that are minimal
-         in the sense that shrinking from the left also breaks
-         feasibility, which the slide achieves naturally. *)
-      let have = ref Resource.zero in
-      let col_res c =
-        let unit_ = Device.column_units device ~col:c in
-        Resource.scale unit_ (float_of_int h)
-      in
-      let c0 = ref 0 and c1 = ref (-1) in
-      let continue_ = ref true in
-      while !continue_ do
-        (* Extend right edge until the requirement fits. *)
-        while (not (Resource.fits need ~within:!have)) && !c1 < ncols - 1 do
-          incr c1;
-          have := Resource.add !have (col_res !c1)
-        done;
-        if not (Resource.fits need ~within:!have) then continue_ := false
-        else begin
-          (* Shrink from the left while it still fits to make it minimal. *)
-          while
-            !c0 <= !c1
-            && Resource.fits need
-                 ~within:(Resource.sub !have (col_res !c0))
-          do
-            have := Resource.sub !have (col_res !c0);
-            incr c0
+(* ------------------------------------------------------------------ *)
+(* Dominance prune.
+
+   A candidate that contains an earlier (snugger) candidate is never
+   needed. Every rect inside [r] lies in one of [r]'s row sub-spans,
+   and within one row span the minimal windows sorted by [c0] have
+   non-decreasing [c1] (a subset of a monotone sequence is monotone, so
+   the cap does not break this). The windows inside [r] in a sub-span
+   are therefore the contiguous run that starts at the first [c0 >=
+   r.c0] and stops at the first [c1 > r.c1]: one binary search per
+   sub-span instead of a scan of every earlier candidate. *)
+
+let prune_dominated ~rows (cands : rect array) =
+  let k = Array.length cands in
+  if k = 0 then cands
+  else begin
+    let ncols =
+      1 + Array.fold_left (fun m r -> Int.max m r.c1) 0 cands
+    in
+    let span r = (r.r0 * rows) + r.r1 in
+    (* Snuggest-first ranks grouped by row span, sorted by [c0] within a
+       span ([ranks.(first.(s)) ..] for span [s]): a counting sort by
+       [c0], then a stable one by span. *)
+    let counting_sort ~buckets key src =
+      let start = Array.make (buckets + 1) 0 in
+      Array.iter (fun i -> start.(key i + 1) <- start.(key i + 1) + 1) src;
+      for b = 1 to buckets do
+        start.(b) <- start.(b) + start.(b - 1)
+      done;
+      let dst = Array.make k 0 and next = Array.copy start in
+      Array.iter
+        (fun i ->
+          dst.(next.(key i)) <- i;
+          next.(key i) <- next.(key i) + 1)
+        src;
+      (dst, start)
+    in
+    let by_c0, _ =
+      counting_sort ~buckets:ncols (fun i -> cands.(i).c0) (Array.init k Fun.id)
+    in
+    let ranks, first =
+      counting_sort ~buckets:(rows * rows) (fun i -> span cands.(i)) by_c0
+    in
+    let dominated i =
+      let r = cands.(i) in
+      let found = ref false in
+      let a0 = ref r.r0 in
+      while (not !found) && !a0 <= r.r1 do
+        let a1 = ref !a0 in
+        while (not !found) && !a1 <= r.r1 do
+          let s = (!a0 * rows) + !a1 in
+          (* first position in span [s] whose window starts at or right
+             of [r.c0] *)
+          let lo = ref first.(s) and hi = ref first.(s + 1) in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if cands.(ranks.(mid)).c0 < r.c0 then lo := mid + 1 else hi := mid
           done;
-          acc := { c0 = !c0; c1 = !c1; r0; r1 } :: !acc;
-          (* Drop the left column and continue the scan. *)
-          have := Resource.sub !have (col_res !c0);
-          incr c0;
-          if !c0 > !c1 && !c1 = ncols - 1 then continue_ := false
-        end
-      done
-    done
-  done;
-  let area r =
-    Resource.total_units (resources device r)
-  in
-  let sorted =
-    List.sort
-      (fun a b ->
-        let c = compare (area a) (area b) in
-        if c <> 0 then c else compare (a.r0, a.c0, a.r1, a.c1) (b.r0, b.c0, b.r1, b.c1))
-      !acc
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  take candidate_count_cap sorted
+          let p = ref !lo in
+          while
+            (not !found) && !p < first.(s + 1) && cands.(ranks.(!p)).c1 <= r.c1
+          do
+            (* inside [r]; dominates if it is earlier in snuggest-first
+               order. The run holds [r] itself; any other minimal window
+               inside [r] has less area, hence an earlier rank. *)
+            if ranks.(!p) < i then found := true;
+            incr p
+          done;
+          incr a1
+        done;
+        incr a0
+      done;
+      !found
+    in
+    let kept = ref [] in
+    for i = k - 1 downto 0 do
+      if not (dominated i) then kept := cands.(i) :: !kept
+    done;
+    Array.of_list !kept
+  end

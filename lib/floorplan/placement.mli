@@ -18,32 +18,35 @@ val contains : outer:rect -> rect -> bool
 val resources : Resched_fabric.Device.t -> rect -> Resched_fabric.Resource.t
 val pp : Format.formatter -> rect -> unit
 
-val candidates : Resched_fabric.Device.t -> Resched_fabric.Resource.t ->
-  rect list
-(** All minimal placements for a region requiring the given resources,
-    sorted by enclosed-area (total resource units) ascending, i.e.
-    snuggest first. Empty when the region cannot fit anywhere (even on an
-    empty device). Raises [Invalid_argument] on the zero requirement. *)
-
 type grid
 (** Per-column-type prefix sums over a device's fabric: any rectangle's
     resource vector and area become O(1) lookups instead of a column
-    scan. Built once per device by the column-interval packer. *)
+    scan. Built once per device by the packer. *)
 
 val grid : Resched_fabric.Device.t -> grid
 
-val grid_resources : grid -> rect -> Resched_fabric.Resource.t
-(** O(1); equals {!resources} on the grid's device. *)
+val grid_units : grid -> Resched_fabric.Resource.kind -> rect -> int
+(** O(1), allocation-free; equals [Resource.get (resources device rect)
+    kind] on the grid's device. *)
 
-val grid_area : grid -> rect -> int
-(** O(1); equals [Resource.total_units (resources device rect)]. *)
-
-val grid_candidates : grid -> Resched_fabric.Resource.t -> rect list
-(** Exactly the list {!candidates} returns (same rects, same snuggest-
-    first order, same {!candidate_count_cap}), computed on the prefix
-    sums — the v1/v2 packers therefore search the same candidate
-    universe. Raises [Invalid_argument] on the zero requirement. *)
+val grid_candidates : grid -> Resched_fabric.Resource.t -> rect array
+(** All minimal placements for a region requiring the given resources,
+    sorted by enclosed area (total resource units) ascending, i.e.
+    snuggest first, ties by [(r0, c0, r1, c1)]; only the first
+    {!candidate_count_cap} are kept. Empty when the region cannot fit
+    anywhere (even on an empty device). Within one row span the windows
+    have strictly increasing [c0] and non-decreasing [c1]. Raises
+    [Invalid_argument] on the zero requirement. *)
 
 val candidate_count_cap : int
 (** Safety cap on the number of candidates returned per region (the
     snuggest ones are kept). *)
+
+val prune_dominated : rows:int -> rect array -> rect array
+(** [prune_dominated ~rows cands] drops every candidate that contains
+    an earlier one, keeping the survivors in order. [cands] must be a
+    {!grid_candidates} array (or any order-preserving subset of one) on
+    a device with [rows] clock regions: the prune relies on the
+    per-row-span monotonicity stated there, which is what lets it test
+    containment with one binary search per row sub-span instead of a
+    scan of every earlier candidate. *)

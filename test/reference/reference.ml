@@ -483,3 +483,178 @@ let run_random ?(config = Pa.default_config) ?cache ~seed ~min_iterations
     trace = List.rev !trace;
     minor_words = Gc.minor_words () -. words0;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Floorplan: candidate enumeration on allocated resource vectors, the
+   quadratic dominance prune and the list-based v1 packer.             *)
+
+module Device = Resched_fabric.Device
+module Placement = Resched_floorplan.Placement
+module Packer = Resched_floorplan.Packer
+
+let candidates device need =
+  if Resource.is_zero need then
+    invalid_arg "Reference.candidates: zero requirement";
+  let ncols = Array.length device.Device.columns in
+  let rows = device.Device.rows in
+  let acc = ref [] in
+  for r0 = 0 to rows - 1 do
+    for r1 = r0 to rows - 1 do
+      let h = r1 - r0 + 1 in
+      (* Sliding window over columns: grow c1 until the window fits,
+         then record and slide c0. Per (r0, r1) this yields, for every
+         c0, the minimal c1 — but we only keep windows that are minimal
+         in the sense that shrinking from the left also breaks
+         feasibility, which the slide achieves naturally. *)
+      let have = ref Resource.zero in
+      let col_res c =
+        let unit_ = Device.column_units device ~col:c in
+        Resource.scale unit_ (float_of_int h)
+      in
+      let c0 = ref 0 and c1 = ref (-1) in
+      let continue_ = ref true in
+      while !continue_ do
+        (* Extend right edge until the requirement fits. *)
+        while (not (Resource.fits need ~within:!have)) && !c1 < ncols - 1 do
+          incr c1;
+          have := Resource.add !have (col_res !c1)
+        done;
+        if not (Resource.fits need ~within:!have) then continue_ := false
+        else begin
+          (* Shrink from the left while it still fits to make it minimal. *)
+          while
+            !c0 <= !c1
+            && Resource.fits need
+                 ~within:(Resource.sub !have (col_res !c0))
+          do
+            have := Resource.sub !have (col_res !c0);
+            incr c0
+          done;
+          acc := { Placement.c0 = !c0; c1 = !c1; r0; r1 } :: !acc;
+          (* Drop the left column and continue the scan. *)
+          have := Resource.sub !have (col_res !c0);
+          incr c0;
+          if !c0 > !c1 && !c1 = ncols - 1 then continue_ := false
+        end
+      done
+    done
+  done;
+  let area r = Resource.total_units (Placement.resources device r) in
+  let sorted =
+    List.sort
+      (fun (a : Placement.rect) (b : Placement.rect) ->
+        let c = compare (area a) (area b) in
+        if c <> 0 then c
+        else compare (a.r0, a.c0, a.r1, a.c1) (b.r0, b.c0, b.r1, b.c1))
+      !acc
+  in
+  List.filteri (fun i _ -> i < Placement.candidate_count_cap) sorted
+
+let prune_dominated rects =
+  (* In snuggest-first order only earlier (cheaper) candidates can be
+     contained in a later one; drop any rect containing a kept
+     predecessor. *)
+  let kept = ref [] in
+  List.iter
+    (fun r ->
+      if not (List.exists (fun a -> Placement.contains ~outer:r a) !kept)
+      then kept := r :: !kept)
+    rects;
+  List.rev !kept
+
+exception Done of Placement.rect array
+exception Budget
+
+let greedy needs_order cands =
+  let n = Array.length cands in
+  let chosen = Array.make n None in
+  let ok =
+    List.for_all
+      (fun region ->
+        let free rect =
+          Array.for_all
+            (function
+              | Some placed -> not (Placement.overlap placed rect)
+              | None -> true)
+            chosen
+        in
+        match List.find_opt free cands.(region) with
+        | Some rect ->
+          chosen.(region) <- Some rect;
+          true
+        | None -> false)
+      needs_order
+  in
+  if ok then
+    Some (Array.map (function Some r -> r | None -> assert false) chosen)
+  else None
+
+let pack_v1 ~node_limit device needs =
+  let cands = Array.map (candidates device) needs in
+  let n = Array.length needs in
+  if n = 0 then Packer.Placed [||]
+  else if Array.exists (fun c -> c = []) cands then Packer.Infeasible
+  else begin
+    let indices = List.init n (fun i -> i) in
+    let by_cand_count =
+      List.sort
+        (fun a b ->
+          let c = compare (List.length cands.(a)) (List.length cands.(b)) in
+          if c <> 0 then c
+          else
+            compare
+              (Resource.total_units needs.(b))
+              (Resource.total_units needs.(a)))
+        indices
+    in
+    let by_area_desc =
+      List.sort
+        (fun a b ->
+          compare (Resource.total_units needs.(b))
+            (Resource.total_units needs.(a)))
+        indices
+    in
+    let greedy_result =
+      match greedy by_cand_count cands with
+      | Some p -> Some p
+      | None -> greedy by_area_desc cands
+    in
+    match greedy_result with
+    | Some placements -> Packer.Placed placements
+    | None ->
+      (* Exact search: hardest regions first, snuggest candidates
+         first; [node_limit] bounds the effort. *)
+      let order = Array.of_list by_cand_count in
+      let chosen = Array.make n None in
+      let nodes = ref 0 in
+      let rec go k =
+        if k = n then begin
+          let result =
+            Array.map (function Some r -> r | None -> assert false) chosen
+          in
+          raise (Done result)
+        end;
+        let region = order.(k) in
+        List.iter
+          (fun rect ->
+            incr nodes;
+            if !nodes > node_limit then raise Budget;
+            let clash =
+              Array.exists
+                (function
+                  | Some placed -> Placement.overlap placed rect
+                  | None -> false)
+                chosen
+            in
+            if not clash then begin
+              chosen.(region) <- Some rect;
+              go (k + 1);
+              chosen.(region) <- None
+            end)
+          cands.(region)
+      in
+      (match go 0 with
+      | () -> Packer.Infeasible
+      | exception Done placements -> Packer.Placed placements
+      | exception Budget -> Packer.Unknown)
+  end

@@ -71,3 +71,24 @@ val run_random : ?config:Pa.config -> ?cache:Resched_floorplan.Fp_cache.t ->
     floorplan-check policy as {!Pa_random.run} at [budget_seconds = 0.]:
     the same iterations, best schedule and improvement trace. [elapsed]
     stamps and [minor_words] measure this loop. *)
+
+(** {1 Floorplan} *)
+
+val candidates : Resched_fabric.Device.t -> Resched_fabric.Resource.t ->
+  Resched_floorplan.Placement.rect list
+(** The sliding-window enumeration on allocated resource vectors, sorted
+    with a polymorphic comparator: what
+    {!Resched_floorplan.Placement.grid_candidates} returns, as a list. *)
+
+val prune_dominated : Resched_floorplan.Placement.rect list ->
+  Resched_floorplan.Placement.rect list
+(** The quadratic dominance prune: drops every candidate containing an
+    earlier kept one. What
+    {!Resched_floorplan.Placement.prune_dominated} returns. *)
+
+val pack_v1 : node_limit:int -> Resched_fabric.Device.t ->
+  Resched_fabric.Resource.t array -> Resched_floorplan.Packer.outcome
+(** The list-based v1 packer: greedy first-fit passes, then backtracking
+    that scans the placed rects for overlap, over {!candidates}. What
+    [Packer.pack ~engine:Backtracking_v1] returns, placements and node
+    accounting included. *)

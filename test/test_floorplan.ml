@@ -9,6 +9,7 @@ module Packer = Resched_floorplan.Packer
 module Milp_model = Resched_floorplan.Milp_model
 module Floorplanner = Resched_floorplan.Floorplanner
 module Fp_cache = Resched_floorplan.Fp_cache
+module Reference = Resched_reference.Reference
 
 let v ~clb ~bram ~dsp = Resource.make ~clb ~bram ~dsp
 
@@ -27,9 +28,9 @@ let test_rect_geometry () =
 let test_candidates_cover_requirement () =
   let d = Device.xc7z020 in
   let need = v ~clb:700 ~bram:5 ~dsp:10 in
-  let cands = Placement.candidates d need in
-  Alcotest.(check bool) "some candidates" true (cands <> []);
-  List.iter
+  let cands = Placement.grid_candidates (Placement.grid d) need in
+  Alcotest.(check bool) "some candidates" true (cands <> [||]);
+  Array.iter
     (fun rect ->
       let have = Placement.resources d rect in
       Alcotest.(check bool) "covers" true (Resource.fits need ~within:have))
@@ -38,8 +39,8 @@ let test_candidates_cover_requirement () =
 let test_candidates_minimal_width () =
   let d = Device.minifab in
   let need = v ~clb:60 ~bram:0 ~dsp:0 in
-  let cands = Placement.candidates d need in
-  List.iter
+  let cands = Placement.grid_candidates (Placement.grid d) need in
+  Array.iter
     (fun (rect : Placement.rect) ->
       if rect.Placement.c0 < rect.Placement.c1 then begin
         (* Dropping the leftmost column must break feasibility. *)
@@ -52,8 +53,9 @@ let test_candidates_minimal_width () =
 let test_candidates_impossible () =
   let d = Device.minifab in
   (* Minifab has 1 BRAM column x 2 rows x 10 BRAM = 20 BRAM total. *)
-  Alcotest.(check (list int)) "no candidate" []
-    (List.map (fun _ -> 0) (Placement.candidates d (v ~clb:0 ~bram:21 ~dsp:0)))
+  Alcotest.(check int) "no candidate" 0
+    (Array.length
+       (Placement.grid_candidates (Placement.grid d) (v ~clb:0 ~bram:21 ~dsp:0)))
 
 let test_pack_single () =
   let d = Device.minifab in
@@ -433,7 +435,8 @@ let prop_engines_consistent =
       | _ -> true)
 
 (* The prefix-sum candidate enumeration is a drop-in replacement for the
-   v1 sliding-window scan: same rects, same snuggest-first order. *)
+   reference sliding-window scan on resource vectors: same rects, same
+   snuggest-first order. *)
 let prop_grid_candidates_identical =
   QCheck.Test.make ~count:200 ~name:"grid candidates = v1 candidates"
     QCheck.(triple int (int_range 0 2) (int_range 0 2))
@@ -445,8 +448,8 @@ let prop_grid_candidates_identical =
           ~clb:(1 + Rng.int rng 1200)
           ~bram:(Rng.int rng 20) ~dsp:(Rng.int rng 30)
       in
-      Placement.grid_candidates (Placement.grid d) need
-      = Placement.candidates d need)
+      Array.to_list (Placement.grid_candidates (Placement.grid d) need)
+      = Reference.candidates d need)
 
 (* The column-interval packer against the v1 oracle: never a
    contradiction, never less decisive, and placements always validate.
@@ -478,6 +481,103 @@ let prop_packer_v2_agrees_v1 =
       | (Packer.Placed _ | Packer.Infeasible), Packer.Unknown ->
         false (* v2 lost decisiveness *)
       | _ -> true)
+
+(* Fabrics for the bitset-search properties: the presets (one to three
+   occupancy words per row) and a random striped fabric of up to 153
+   columns, so column spans cross word boundaries. *)
+let random_fabric rng =
+  let ncols = 4 + Rng.int rng 150 in
+  let columns =
+    Array.init ncols (fun _ ->
+        match Rng.int rng 10 with
+        | 0 -> Resource.Bram
+        | 1 -> Resource.Dsp
+        | _ -> Resource.Clb)
+  in
+  Device.make ~name:"random-striped" ~columns ~rows:(1 + Rng.int rng 6)
+    ~model:Resched_fabric.Bitstream.seven_series
+
+let fabric rng = function
+  | 0 -> Device.minifab
+  | 1 -> Device.xc7z010
+  | 2 -> Device.xc7z020
+  | 3 -> Device.xc7z045
+  | _ -> random_fabric rng
+
+(* [count] regions whose demands fill [40%, 100%] of the fabric on
+   average: enough tight sets that the greedy passes fail and the exact
+   search runs into small node limits. *)
+let random_needs rng (d : Device.t) count =
+  let fill = 40 + Rng.int rng 61 in
+  let draw total = Rng.int rng (1 + (2 * total * fill / (100 * count))) in
+  let t = d.Device.total in
+  Array.init count (fun _ ->
+      v
+        ~clb:(1 + draw t.Resource.clb)
+        ~bram:(if Rng.bool rng then draw t.Resource.bram else 0)
+        ~dsp:(if Rng.bool rng then draw t.Resource.dsp else 0))
+
+let node_limits = [ 0; 1; 7; 100; 200_000 ]
+
+(* The bitset v1 search against the list-based reference: the same
+   verdict constructor and the same placement array at every node
+   limit, across the [Unknown] boundary. *)
+let prop_bitset_v1_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"bitset v1 = reference list v1"
+    QCheck.(triple int (int_range 0 4) (int_range 1 6))
+    (fun (seed, fab, count) ->
+      let rng = Rng.create seed in
+      let d = fabric rng fab in
+      let needs = random_needs rng d count in
+      List.for_all
+        (fun node_limit ->
+          Packer.pack ~engine:Packer.Backtracking_v1 ~node_limit d needs
+          = Reference.pack_v1 ~node_limit d needs)
+        node_limits)
+
+(* A homogeneous CLB fabric: many same-shape windows of equal area, so
+   the 512-candidate cap cuts through a tie group. *)
+let ties_fabric =
+  Device.make ~name:"clb-ties" ~columns:(Array.make 60 Resource.Clb) ~rows:8
+    ~model:Resched_fabric.Bitstream.seven_series
+
+(* The per-sub-span binary-search prune against the quadratic one. *)
+let prop_fast_prune_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"fast dominance prune = quadratic prune"
+    QCheck.(pair int (int_range 0 5))
+    (fun (seed, fab) ->
+      let rng = Rng.create seed in
+      let d = if fab = 5 then ties_fabric else fabric rng fab in
+      let need = (random_needs rng d (1 + Rng.int rng 6)).(0) in
+      let cands = Placement.grid_candidates (Placement.grid d) need in
+      Array.to_list (Placement.prune_dominated ~rows:d.Device.rows cands)
+      = Reference.prune_dominated (Array.to_list cands))
+
+(* Node accounting at the budget edge: a set whose first packing is
+   found at node [n] packs at [~node_limit:n] and is [Unknown] at
+   [n - 1], under the bitset search and the list reference alike. *)
+let test_v1_node_boundary () =
+  let d = Device.minifab in
+  let rec first_packing limit =
+    if limit > 10_000 then Alcotest.fail "no packing within 10k nodes"
+    else
+      match Reference.pack_v1 ~node_limit:limit d vague with
+      | Packer.Placed _ -> limit
+      | Packer.Unknown -> first_packing (limit + 1)
+      | Packer.Infeasible -> Alcotest.fail "set must be feasible"
+  in
+  let n = first_packing 0 in
+  Alcotest.(check bool) "needs the exact search" true (n > 0);
+  let bitset limit =
+    Packer.pack ~engine:Packer.Backtracking_v1 ~node_limit:limit d vague
+  in
+  (match (bitset n, Reference.pack_v1 ~node_limit:n d vague) with
+  | Packer.Placed a, Packer.Placed b ->
+    Alcotest.(check bool) "same placements" true (a = b)
+  | _ -> Alcotest.fail "both engines must place at the first-packing node");
+  match (bitset (n - 1), Reference.pack_v1 ~node_limit:(n - 1) d vague) with
+  | Packer.Unknown, Packer.Unknown -> ()
+  | _ -> Alcotest.fail "both engines must be Unknown one node short"
 
 (* Verdict transparency over sequences of related queries (scaled,
    truncated, permuted and repeated variants of a base set, under node
@@ -569,6 +669,8 @@ let () =
           Alcotest.test_case "v2 equal needs" `Quick test_pack_v2_equal_needs;
           Alcotest.test_case "v2 zero slack" `Quick test_pack_v2_zero_slack;
           Alcotest.test_case "capacity bounds" `Quick test_capacity_bounds_ok;
+          Alcotest.test_case "v1 node-limit boundary" `Quick
+            test_v1_node_boundary;
         ] );
       ( "milp-engine",
         [
@@ -604,6 +706,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_engines_consistent;
           QCheck_alcotest.to_alcotest prop_grid_candidates_identical;
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1;
+          QCheck_alcotest.to_alcotest prop_bitset_v1_matches_reference;
+          QCheck_alcotest.to_alcotest prop_fast_prune_matches_reference;
           QCheck_alcotest.to_alcotest prop_cache_verdict_transparent;
         ] );
     ]

@@ -25,8 +25,9 @@
      RESCHED_FP_E2E_ITERS        [40]    PA-R iterations per engine in the
                                          floorplan end-to-end makespan check
      RESCHED_MILP_TIME_LIMIT_MS  [5000]  per-solve budget for the MILP
-                                         engine comparison (tableau vs
-                                         revised simplex)
+                                         comparison (the test-only
+                                         reference tableau vs the revised
+                                         simplex)
      RESCHED_MILP_LP_REPEATS     [30]    timed repetitions per model in
                                          the LP kernel comparison
      RESCHED_FAULT_TRIALS        [100]   Monte-Carlo trials per (schedule,

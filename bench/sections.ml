@@ -16,7 +16,6 @@ module Instance = Resched_platform.Instance
 module Suite = Resched_platform.Suite
 module Arch = Resched_platform.Arch
 module Lp = Resched_milp.Lp
-module Simplex = Resched_milp.Simplex
 module Revised = Resched_milp.Revised
 module Branch_bound = Resched_milp.Branch_bound
 module Ilp_exact = Resched_baseline.Ilp_exact
@@ -36,6 +35,7 @@ module Sw_map = Resched_core.Sw_map
 module Reconf_sched = Resched_core.Reconf_sched
 module Timing = Resched_core.Timing
 module Reference = Resched_reference.Reference
+module Simplex = Resched_reference.Simplex
 module Isk = Resched_baseline.Isk
 module List_sched = Resched_baseline.List_sched
 module Repair = Resched_core.Repair
@@ -2567,21 +2567,16 @@ type milp_engine_row = {
   me_makespan : int;  (** -1 when no integer solution was found *)
 }
 
-let milp_bnb_run ?(jobs = 1) ~engine inst =
-  let r, secs =
-    timed (fun () ->
-        Ilp_exact.solve ~node_limit:500_000 ~time_limit:milp_time_limit ~jobs
-          ~engine inst)
-  in
-  match r with
-  | Some r ->
-    must_validate "ILP(bench)" r.Ilp_exact.schedule;
+(* [Some (schedule, objective, proved_optimal, nodes)] of a solve. *)
+let milp_row secs = function
+  | Some (sched, objective, proved, nodes) ->
+    must_validate "ILP(bench)" sched;
     {
       me_seconds = secs;
-      me_nodes = r.Ilp_exact.nodes;
-      me_objective = r.Ilp_exact.ilp_objective;
-      me_proved = r.Ilp_exact.proved_optimal;
-      me_makespan = Schedule.makespan r.Ilp_exact.schedule;
+      me_nodes = nodes;
+      me_objective = objective;
+      me_proved = proved;
+      me_makespan = Schedule.makespan sched;
     }
   | None ->
     {
@@ -2592,11 +2587,44 @@ let milp_bnb_run ?(jobs = 1) ~engine inst =
       me_makespan = -1;
     }
 
+(* The production solve: [Ilp_exact.solve] over [Branch_bound]. *)
+let milp_bnb_run ?(jobs = 1) inst =
+  let r, secs =
+    timed (fun () ->
+        Ilp_exact.solve ~node_limit:500_000 ~time_limit:milp_time_limit ~jobs
+          inst)
+  in
+  milp_row secs
+    (Option.map
+       (fun (r : Ilp_exact.result) ->
+         ( r.Ilp_exact.schedule, r.Ilp_exact.ilp_objective,
+           r.Ilp_exact.proved_optimal, r.Ilp_exact.nodes ))
+       r)
+
+(* The same model and budget through the reference tableau
+   branch-and-bound, decoded like [Ilp_exact.solve] decodes. *)
+let milp_oracle_run inst =
+  let r, secs =
+    timed (fun () ->
+        let m, decode = Ilp_exact.formulate inst in
+        match
+          Simplex.branch_bound ~node_limit:500_000 ~time_limit:milp_time_limit m
+        with
+        | Branch_bound.Optimal sol | Branch_bound.Feasible sol ->
+          Some
+            ( decode sol.Branch_bound.values, sol.Branch_bound.objective,
+              sol.Branch_bound.proved_optimal, sol.Branch_bound.nodes )
+        | Branch_bound.Infeasible | Branch_bound.Unbounded
+        | Branch_bound.Node_limit ->
+          None)
+  in
+  milp_row secs r
+
 let milp_comparison () =
   print_endline "";
   Printf.printf
-    "== MILP engine: dense tableau oracle vs warm-started revised simplex \
-     (time limit %.1fs per solve) ==\n"
+    "== MILP engine: reference dense tableau vs warm-started revised \
+     simplex (time limit %.1fs per solve) ==\n"
     milp_time_limit;
   (* --- LP kernel: floorplan-sized continuous relaxations ----------- *)
   let rng = Rng.create (seed lxor 0x317) in
@@ -2640,9 +2668,12 @@ let milp_comparison () =
           Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
             (Rng.create (seed + tasks)) ~tasks
         in
-        let vars, rows = Ilp_exact.model_size inst in
-        let tab = milp_bnb_run ~engine:Branch_bound.Tableau inst in
-        let rev = milp_bnb_run ~engine:Branch_bound.Revised inst in
+        let vars, rows =
+          let m, _ = Ilp_exact.formulate inst in
+          (Lp.num_vars m, Lp.num_constraints m)
+        in
+        let tab = milp_oracle_run inst in
+        let rev = milp_bnb_run inst in
         let per_s r = float_of_int r.me_nodes /. Float.max r.me_seconds 1e-9 in
         Table.add_row t
           [
@@ -2714,8 +2745,8 @@ let milp_comparison () =
     Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
       (Rng.create (seed + par_tasks)) ~tasks:par_tasks
   in
-  let j1 = milp_bnb_run ~jobs:1 ~engine:Branch_bound.Revised par_inst in
-  let jn = milp_bnb_run ~jobs:par_jobs ~engine:Branch_bound.Revised par_inst in
+  let j1 = milp_bnb_run ~jobs:1 par_inst in
+  let jn = milp_bnb_run ~jobs:par_jobs par_inst in
   Printf.printf
     "  parallel B&B (%d tasks, revised): jobs=1 %d nodes in %.2fs, jobs=%d \
      %d nodes in %.2fs (nodes/s x%.2f)\n"
@@ -2752,6 +2783,7 @@ let milp_comparison () =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
+  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   Printf.bprintf buf "  \"time_limit_seconds\": %.3f,\n" milp_time_limit;
   Printf.bprintf buf
     "  \"lp_kernel\": {\"models\": %d, \"repeats\": %d, \"seconds_tableau\": \
@@ -2963,7 +2995,10 @@ let related_work_ilp_viability () =
         Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
           (Rng.create (seed + tasks)) ~tasks
       in
-      let vars, rows = Resched_baseline.Ilp_exact.model_size inst in
+      let vars, rows =
+        let m, _ = Ilp_exact.formulate inst in
+        (Lp.num_vars m, Lp.num_constraints m)
+      in
       let (ilp, ilp_s) =
         timed (fun () ->
             Resched_baseline.Ilp_exact.solve ~node_limit:500_000

@@ -221,7 +221,6 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
            {
              (Isk.config ~k:1) with
              Isk.module_reuse = reuse;
-             Isk.floorplan_jobs = jobs;
              Isk.floorplan_cache = cache;
            }
          inst)
@@ -232,7 +231,6 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
            {
              (Isk.config ~k:5) with
              Isk.module_reuse = reuse;
-             Isk.floorplan_jobs = jobs;
              Isk.floorplan_cache = cache;
            }
          inst)

@@ -314,10 +314,6 @@ let build ?(max_slots = 4) inst =
   done;
   model
 
-let model_size ?max_slots inst =
-  let model = build ?max_slots inst in
-  (Lp.num_vars model.m, Lp.num_constraints model.m)
-
 (* ------------------------------------------------------------------ *)
 (* Decision extraction and integer re-timing                           *)
 
@@ -517,26 +513,21 @@ let extract inst (model : model) values =
     resource_scale = 1.0;
   }
 
-let solve ?(node_limit = 100_000) ?time_limit ?max_slots ?jobs ?engine inst =
+let formulate ?max_slots inst =
   let model = build ?max_slots inst in
-  let vars = Lp.num_vars model.m and constraints = Lp.num_constraints model.m in
-  match Branch_bound.solve ~node_limit ?time_limit ?jobs ?engine model.m with
-  | Branch_bound.Optimal { objective; values; nodes; _ } ->
+  (model.m, extract inst model)
+
+let solve ?(node_limit = 100_000) ?time_limit ?max_slots ?jobs inst =
+  let m, decode = formulate ?max_slots inst in
+  let vars = Lp.num_vars m and constraints = Lp.num_constraints m in
+  match Branch_bound.solve ~node_limit ?time_limit ?jobs m with
+  | Branch_bound.Optimal { objective; values; nodes; proved_optimal }
+  | Branch_bound.Feasible { objective; values; nodes; proved_optimal } ->
     Some
       {
-        schedule = extract inst model values;
+        schedule = decode values;
         ilp_objective = objective;
-        proved_optimal = true;
-        nodes;
-        vars;
-        constraints;
-      }
-  | Branch_bound.Feasible { objective; values; nodes; _ } ->
-    Some
-      {
-        schedule = extract inst model values;
-        ilp_objective = objective;
-        proved_optimal = false;
+        proved_optimal;
         nodes;
         vars;
         constraints;

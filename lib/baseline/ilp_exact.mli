@@ -38,16 +38,17 @@ type result = {
 }
 
 val solve : ?node_limit:int -> ?time_limit:float -> ?max_slots:int ->
-  ?jobs:int -> ?engine:Resched_milp.Branch_bound.engine ->
-  Resched_platform.Instance.t -> result option
+  ?jobs:int -> Resched_platform.Instance.t -> result option
 (** [solve inst] builds and solves the ILP. [max_slots] (default
     [min 4 n]) bounds the number of reconfigurable region slots offered
     to the model; [node_limit] defaults to 100_000; [time_limit] (seconds)
     makes the solve anytime; [jobs] (default 1) parallelizes the
-    branch-and-bound over a domain pool; [engine] picks the LP engine
-    (default {!Resched_milp.Branch_bound.default_engine}). [None] when
-    the branch-and-bound found no integer solution within the budget. *)
+    branch-and-bound over a domain pool. [None] when the
+    branch-and-bound found no integer solution within the budget. *)
 
-val model_size : ?max_slots:int -> Resched_platform.Instance.t -> int * int
-(** (variables, constraints) of the model that [solve] would build —
-    used to report how fast the formulation grows. *)
+val formulate : ?max_slots:int -> Resched_platform.Instance.t ->
+  Resched_milp.Lp.t * (float array -> Resched_core.Schedule.t)
+(** The model [solve] builds, and the decoder that turns an integer
+    solution's values into the re-timed schedule [solve] returns. For
+    reporting the formulation's size and for solving it with another
+    MILP solver. *)

@@ -1,7 +1,7 @@
 module Device = Resched_fabric.Device
 module Resource = Resched_fabric.Resource
 
-type engine = Backtracking | Backtracking_v1 | Milp | Hybrid
+type engine = Backtracking | Backtracking_v1 | Milp
 
 type verdict =
   | Feasible of Placement.rect array
@@ -24,7 +24,7 @@ let of_milp = function
   | Milp_model.Infeasible -> Infeasible
   | Milp_model.Unknown -> Unknown
 
-let check ?(engine = Backtracking) ?node_limit ?jobs device needs =
+let check ?(engine = Backtracking) ?node_limit device needs =
   let t0 = Unix.gettimeofday () in
   let verdict, engine_used =
     match engine with
@@ -36,13 +36,7 @@ let check ?(engine = Backtracking) ?node_limit ?jobs device needs =
       ( of_packer
           (Packer.pack ~engine:Packer.Backtracking_v1 ?node_limit device needs),
         Backtracking_v1 )
-    | Milp -> (of_milp (Milp_model.pack ?node_limit ?jobs device needs), Milp)
-    | Hybrid -> (
-      match Packer.pack ~engine:Packer.Column_interval ?node_limit device needs with
-      | Packer.Placed p -> (Feasible p, Backtracking)
-      | Packer.Infeasible -> (Infeasible, Backtracking)
-      | Packer.Unknown ->
-        (of_milp (Milp_model.pack ?node_limit ?jobs device needs), Milp))
+    | Milp -> (of_milp (Milp_model.pack ?node_limit device needs), Milp)
   in
   { verdict; engine_used; elapsed = Unix.gettimeofday () -. t0 }
 

@@ -12,8 +12,7 @@ type engine =
   | Backtracking_v1
       (** the original backtracking packer, kept as the equivalence
           oracle for [Backtracking] *)
-  | Milp
-  | Hybrid  (** backtracking first; on [Unknown], fall back to MILP *)
+  | Milp  (** the packing MILP of [3] ({!Milp_model}) *)
 
 type verdict =
   | Feasible of Placement.rect array
@@ -26,12 +25,10 @@ type report = {
   elapsed : float;  (** wall-clock seconds spent in the check *)
 }
 
-val check : ?engine:engine -> ?node_limit:int -> ?jobs:int ->
+val check : ?engine:engine -> ?node_limit:int ->
   Resched_fabric.Device.t -> Resched_fabric.Resource.t array -> report
 (** [check device needs] runs the requested [engine] (default
-    [Backtracking]). [jobs] parallelizes the MILP engine's
-    branch-and-bound (ignored by [Backtracking]). Requirements must all
-    be non-zero. *)
+    [Backtracking]). Requirements must all be non-zero. *)
 
 val validate : Resched_fabric.Device.t ->
   needs:Resched_fabric.Resource.t array -> Placement.rect array ->

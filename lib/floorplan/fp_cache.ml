@@ -186,7 +186,6 @@ let engine_tag = function
   | Floorplanner.Backtracking -> 'b'
   | Floorplanner.Backtracking_v1 -> 'o'
   | Floorplanner.Milp -> 'm'
-  | Floorplanner.Hybrid -> 'h'
 
 (* [order.(k)] is the original index of the k-th need in canonical order:
    ascending by [Resource.compare], ties by index, so any permutation of

@@ -10,7 +10,7 @@ type outcome =
 
 let candidates_per_region = 12
 
-let pack ?(node_limit = 2_000) ?jobs device needs =
+let pack ?(node_limit = 2_000) device needs =
   let n = Array.length needs in
   if n = 0 then Placed [||]
   else begin
@@ -76,7 +76,7 @@ let pack ?(node_limit = 2_000) ?jobs device needs =
           | terms -> Lp.add_constraint m terms Lp.Le 1.
         done
       done;
-      match Branch_bound.solve ~node_limit ?jobs m with
+      match Branch_bound.solve ~node_limit m with
       | Branch_bound.Optimal { values; _ }
       | Branch_bound.Feasible { values; _ } ->
         let placements =

@@ -13,8 +13,7 @@ type engine =
           arrays. One node per candidate the exact search looks at, free
           or not; [Unknown] once the count passes the node limit. The
           list-based search it reproduces — same verdicts, placements
-          and node counts — is the test oracle
-          [Resched_reference.Reference.pack_v1]. *)
+          and node counts — is the test-only reference's [pack_v1]. *)
   | Column_interval
       (** Column-interval packer: a cross-call memo of
           dominance-pruned candidate arrays, tile-demand lower bounds,

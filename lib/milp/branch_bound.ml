@@ -12,8 +12,6 @@ type result =
   | Unbounded
   | Node_limit
 
-type engine = Revised | Tableau
-
 let is_integral ?(tolerance = 1e-6) model values =
   let ok = ref true in
   Array.iteri
@@ -90,19 +88,8 @@ type node = {
   nvalue : float;
   ndist : float;  (* |parent relaxation value - new bound| *)
   nparent : node option;
-  nsnap : Revised.snapshot option;
+  nsnap : Revised.snapshot;
 }
-
-let root_node =
-  {
-    nkey = neg_infinity;
-    nvar = -1;
-    nlower = false;
-    nvalue = 0.;
-    ndist = 0.;
-    nparent = None;
-    nsnap = None;
-  }
 
 (* Fill [lb]/[ub] (preloaded with the base bounds) with the node's
    effective box. Deltas on the same variable only ever tighten, so
@@ -245,82 +232,42 @@ let choose_branch_pc ~tol ~integer pseudo values =
   done;
   if !most_frac = -1 then -1 else if have_history then !best else !most_frac
 
-let most_fractional ~tol ~integer values =
-  let best = ref (-1) in
-  let best_frac = ref tol in
-  Array.iteri
-    (fun i v ->
-      if integer.(i) then begin
-        let frac = Float.abs (v -. Float.round v) in
-        if frac > !best_frac then begin
-          best := i;
-          best_frac := frac
-        end
-      end)
-    values;
-  !best
-
 (* ------------------------------------------------------------------ *)
-(* Engine-specific node evaluation                                     *)
+(* Per-worker LP state                                                 *)
 
-(* An evaluator owns whatever per-worker solver state its engine needs.
-   [ev_solve] materialized-bounds -> LP result; [ev_snap] the basis to
-   hand to the children of the node just solved (None for Tableau). *)
-type evaluator = {
-  ev_solve : node -> lb:float array -> ub:float array -> Simplex.result;
-  ev_snap : unit -> Revised.snapshot option;
+(* Each worker owns one solver and tracks which snapshot context it is
+   in: popping a node whose [nsnap] is physically the basis the solver
+   already sits at (the common first-child-after-parent case) skips the
+   O(m^3) refactorization entirely, and the dual simplex starts from the
+   parent's optimum. *)
+type worker_lp = {
+  solver : Revised.t;
+  mutable at : Revised.snapshot option;  (* context the solver is in *)
 }
 
-let tableau_evaluator ~deadline model =
-  {
-    ev_solve =
-      (fun _nd ~lb ~ub -> Simplex.solve_with_bounds ~deadline model ~lb ~ub);
-    ev_snap = (fun () -> None);
-  }
+let node_lp w ~deadline nd ~lb ~ub =
+  Revised.set_bounds w.solver ~lb ~ub;
+  let warm =
+    match w.at with
+    | Some l when l == nd.nsnap -> true
+    | _ ->
+      w.at <- Some nd.nsnap;
+      Revised.load_basis w.solver nd.nsnap
+  in
+  let r =
+    if warm then Revised.solve_warm ~deadline w.solver
+    else Revised.solve_fresh ~deadline w.solver
+  in
+  (match r with
+  | Lp.Optimal _ -> (* the solver now sits at this node's optimum *) ()
+  | _ -> w.at <- None);
+  r
 
-(* The revised evaluator tracks which snapshot context the solver is in:
-   popping a node whose [nsnap] is physically the basis we are already
-   at (the common first-child-after-parent case) skips the O(m^3)
-   refactorization entirely, and the dual simplex starts from the
-   parent's optimum. *)
-let revised_evaluator ~deadline solver =
-  let last_snap : Revised.snapshot option ref = ref None in
-  let solver_snap = ref None in
-  {
-    ev_solve =
-      (fun nd ~lb ~ub ->
-        Revised.set_bounds solver ~lb ~ub;
-        let warm =
-          match nd.nsnap with
-          | None -> false
-          | Some s when
-              (match !last_snap with Some l -> l == s | None -> false) ->
-            true (* already in this context; current basis is dual feasible *)
-          | Some s ->
-            last_snap := nd.nsnap;
-            Revised.load_basis solver s
-        in
-        solver_snap := None;
-        let r =
-          if warm then Revised.solve_warm ~deadline solver
-          else Revised.solve_fresh ~deadline solver
-        in
-        (match r with
-        | Simplex.Optimal _ ->
-          (* The solver now sits at this node's optimum. *)
-          ()
-        | _ -> last_snap := None);
-        r);
-    ev_snap =
-      (fun () ->
-        match !solver_snap with
-        | Some s -> Some s
-        | None ->
-          let s = Revised.save_basis solver in
-          solver_snap := Some s;
-          last_snap := Some s;
-          Some s);
-  }
+(* The basis to hand to the children of the node just solved. *)
+let node_snapshot w =
+  let s = Revised.save_basis w.solver in
+  w.at <- Some s;
+  s
 
 (* Strong branching at the root: actually solve both children of each
    candidate (most fractional first, capped) and seed the pseudo-cost
@@ -361,10 +308,10 @@ let strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign ~root_key
         if not (Revised.load_basis solver snap0) then None
         else
           match probe () with
-          | Simplex.Optimal { objective; _ } ->
+          | Lp.Optimal { objective; _ } ->
             Some (Float.max 0. ((sign *. objective) -. root_key))
-          | Simplex.Infeasible -> Some infeasible_degradation
-          | Simplex.Unbounded | Simplex.Limit -> None
+          | Lp.Infeasible -> Some infeasible_degradation
+          | Lp.Unbounded | Lp.Limit -> None
       in
       ub.(v) <- base_ub.(v);
       (* Up child. *)
@@ -373,10 +320,10 @@ let strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign ~root_key
         if not (Revised.load_basis solver snap0) then None
         else
           match probe () with
-          | Simplex.Optimal { objective; _ } ->
+          | Lp.Optimal { objective; _ } ->
             Some (Float.max 0. ((sign *. objective) -. root_key))
-          | Simplex.Infeasible -> Some infeasible_degradation
-          | Simplex.Unbounded | Simplex.Limit -> None
+          | Lp.Infeasible -> Some infeasible_degradation
+          | Lp.Unbounded | Lp.Limit -> None
       in
       lb.(v) <- base_lb.(v);
       (match d_down with
@@ -396,18 +343,32 @@ let strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign ~root_key
   snap0
 
 (* ------------------------------------------------------------------ *)
-(* Shared setup                                                        *)
+(* Search                                                              *)
 
-type problem = {
-  model : Lp.t;
-  n : int;
-  base_lb : float array;
-  base_ub : float array;
-  integer : bool array;
-  sign : float;  (* key = sign * user objective, minimized *)
-}
-
-let problem_of_model model =
+(* The root (plus strong branching) is solved on the caller, so
+   [Unbounded] can only arise there. The tree then runs on
+   [Domain_pool.run ~jobs]: per-worker best-first heaps behind mutexes,
+   work stealing from the next worker over, a CAS-updated shared
+   incumbent and an atomic outstanding-node counter for termination.
+   Worker 0 runs on the caller and keeps the root's solver, already at
+   the root basis the children carry, so at [jobs = 1] nothing is
+   spawned or cloned, the first child starts warm without a basis
+   reload, and the node order is fixed. A node popped once the budget
+   is spent marks the search exhausted only if it could still improve
+   the incumbent. With
+   more workers node counts are nondeterministic, but the incumbent
+   objective matches the one-worker search whenever the search runs to
+   completion. *)
+let solve ?(node_limit = 1_000_000) ?time_limit
+    ?(integrality_tolerance = 1e-6) ?(jobs = 1) model =
+  let deadline =
+    match time_limit with
+    | None -> infinity
+    | Some s ->
+      if s <= 0. then invalid_arg "Branch_bound.solve: time_limit";
+      Unix.gettimeofday () +. s
+  in
+  let tol = integrality_tolerance and jobs = Int.max 1 jobs in
   let n = Lp.num_vars model in
   let base_lb = Lp.lb_array model in
   let base_ub = Lp.ub_array model in
@@ -420,176 +381,29 @@ let problem_of_model model =
   let sign =
     match Lp.objective model with Lp.Minimize -> 1. | Maximize -> -1.
   in
-  { model; n; base_lb; base_ub; integer; sign }
-
-(* ------------------------------------------------------------------ *)
-(* Sequential search (jobs = 1)                                        *)
-
-let solve_seq ~node_limit ~deadline ~tol ~engine p =
-  let { model; n = _; base_lb; base_ub; integer; sign } = p in
-  let incumbent = ref None in
-  let incumbent_key = ref infinity in
-  let nodes = ref 0 in
-  let exhausted = ref false in
-  let heap = Heap.create () in
-  let pseudo = pseudo_create p.n in
-  let solver =
-    match engine with
-    | Tableau -> None
-    | Revised ->
-      Some
-        (Revised.make ~goal:(Lp.objective model) ~obj:(Lp.obj_coeffs model)
-           ~lb:base_lb ~ub:base_ub ~rows:(Lp.rows model) ())
-  in
-  let ev =
-    match solver with
-    | None -> tableau_evaluator ~deadline model
-    | Some s -> revised_evaluator ~deadline s
-  in
-  let choose values =
-    match engine with
-    | Tableau -> most_fractional ~tol ~integer values
-    | Revised -> choose_branch_pc ~tol ~integer pseudo values
-  in
-  let lbbuf = Array.copy base_lb and ubbuf = Array.copy base_ub in
-  let evaluate nd =
-    incr nodes;
-    Array.blit base_lb 0 lbbuf 0 p.n;
-    Array.blit base_ub 0 ubbuf 0 p.n;
-    materialize nd lbbuf ubbuf;
-    match ev.ev_solve nd ~lb:lbbuf ~ub:ubbuf with
-    | Simplex.Infeasible -> `Pruned
-    | Simplex.Unbounded -> `Unbounded
-    | Simplex.Limit ->
-      (* The LP hit its iteration cap or the deadline: the node is
-         unresolved, not infeasible. Give up on proving optimality but
-         never prune the subtree as if it were empty. *)
-      exhausted := true;
-      `Pruned
-    | Simplex.Optimal { objective; values } ->
-      let key = sign *. objective in
-      pseudo_update pseudo nd key;
-      if key >= !incumbent_key -. 1e-9 then `Pruned
-      else begin
-        match choose values with
-        | -1 ->
-          incumbent := Some (objective, values);
-          incumbent_key := key;
-          `Integer
-        | branch_var -> `Branch (key, branch_var, values)
-      end
-  in
-  let unbounded = ref false in
-  (match evaluate root_node with
-  | `Pruned | `Integer -> ()
-  | `Unbounded -> unbounded := true
-  | `Branch (key, var, values) ->
-    (match (engine, solver) with
-    | Revised, Some s ->
-      ignore
-        (strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign
-           ~root_key:key s pseudo values)
-    | _ -> ());
-    (* Re-pick the branching variable with the seeded pseudo-costs. *)
-    let var =
-      match engine with
-      | Tableau -> var
-      | Revised -> (
-        match choose values with -1 -> var | v -> v)
-    in
-    let snap = ev.ev_snap () in
-    let d, u = make_children root_node ~key ~var ~value:values.(var) snap in
-    Heap.push heap key d;
-    Heap.push heap key u);
-  if not !unbounded then begin
-    let continue_ = ref true in
-    while !continue_ do
-      if !nodes >= node_limit || Unix.gettimeofday () > deadline then begin
-        exhausted := true;
-        continue_ := false
-      end
-      else begin
-        match Heap.pop heap with
-        | None -> continue_ := false
-        | Some (key, nd) ->
-          if key >= !incumbent_key -. 1e-9 then
-            (* Best-first: every remaining node is at least as bad. *)
-            continue_ := false
-          else begin
-            match evaluate nd with
-            | `Pruned | `Integer -> ()
-            | `Unbounded -> ()
-            | `Branch (child_key, var, values) ->
-              let snap = ev.ev_snap () in
-              let d, u =
-                make_children nd ~key:child_key ~var ~value:values.(var) snap
-              in
-              Heap.push heap child_key d;
-              Heap.push heap child_key u
-          end
-      end
-    done
-  end;
-  if Unix.gettimeofday () > deadline then exhausted := true;
-  if !unbounded then Unbounded
-  else begin
-    match !incumbent with
-    | Some (objective, values) ->
-      let sol =
-        { objective; values; proved_optimal = not !exhausted; nodes = !nodes }
-      in
-      if !exhausted then Feasible sol else Optimal sol
-    | None -> if !exhausted then Node_limit else Infeasible
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel search (jobs > 1)                                          *)
-
-(* Per-worker best-first heaps behind mutexes, work stealing from the
-   next worker over, a CAS-updated shared incumbent and an atomic
-   outstanding-node counter for termination. The root (plus strong
-   branching) is solved sequentially, so `Unbounded` can only arise
-   there. Node counts are nondeterministic under work stealing, but the
-   incumbent objective matches the sequential solve whenever the search
-   runs to completion. *)
-let solve_par ~node_limit ~deadline ~tol ~engine ~jobs p =
-  let { model; n; base_lb; base_ub; integer; sign } = p in
   let root_solver =
     Revised.make ~goal:(Lp.objective model) ~obj:(Lp.obj_coeffs model)
       ~lb:base_lb ~ub:base_ub ~rows:(Lp.rows model) ()
   in
   let pseudo0 = pseudo_create n in
-  let root_result =
-    match engine with
-    | Revised -> Revised.solve_fresh ~deadline root_solver
-    | Tableau -> Simplex.solve_with_bounds ~deadline model ~lb:base_lb ~ub:base_ub
-  in
-  match root_result with
-  | Simplex.Unbounded -> Unbounded
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Limit -> Node_limit
-  | Simplex.Optimal { objective; values } -> (
+  match Revised.solve_fresh ~deadline root_solver with
+  | Lp.Unbounded -> Unbounded
+  | Lp.Infeasible -> Infeasible
+  | Lp.Limit -> Node_limit
+  | Lp.Optimal { objective; values } -> (
     let root_key = sign *. objective in
-    match most_fractional ~tol ~integer values with
-    | -1 ->
-      Optimal
-        { objective; values; proved_optimal = true; nodes = 1 }
+    (* With no pseudo-cost history this is the most fractional variable. *)
+    match choose_branch_pc ~tol ~integer pseudo0 values with
+    | -1 -> Optimal { objective; values; proved_optimal = true; nodes = 1 }
     | mf_var ->
       let root_snap =
-        match engine with
-        | Tableau -> None
-        | Revised ->
-          Some
-            (strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign
-               ~root_key root_solver pseudo0 values)
+        strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign
+          ~root_key root_solver pseudo0 values
       in
       let var =
-        match engine with
-        | Tableau -> mf_var
-        | Revised -> (
-          match choose_branch_pc ~tol ~integer pseudo0 values with
-          | -1 -> mf_var
-          | v -> v)
+        match choose_branch_pc ~tol ~integer pseudo0 values with
+        | -1 -> mf_var
+        | v -> v
       in
       let incumbent = Atomic.make None in
       let incumbent_key () =
@@ -637,57 +451,58 @@ let solve_par ~node_limit ~deadline ~tol ~engine ~jobs p =
           done;
           !r
       in
+      let root =
+        { nkey = neg_infinity; nvar = -1; nlower = false; nvalue = 0.;
+          ndist = 0.; nparent = None; nsnap = root_snap }
+      in
       let d, u =
-        make_children root_node ~key:root_key ~var ~value:values.(var)
-          root_snap
+        make_children root ~key:root_key ~var ~value:values.(var) root_snap
       in
       push 0 root_key d;
       push (1 mod jobs) root_key u;
+      (* Clone before any worker starts: worker 0 mutates the root's. *)
+      let lps =
+        Array.init jobs (fun wid ->
+            if wid = 0 then { solver = root_solver; at = Some root_snap }
+            else { solver = Revised.clone root_solver; at = None })
+      in
       let worker wid =
         let pseudo = pseudo_copy pseudo0 in
-        let ev =
-          match engine with
-          | Tableau -> tableau_evaluator ~deadline model
-          | Revised ->
-            revised_evaluator ~deadline (Revised.clone root_solver)
-        in
+        let lp = lps.(wid) in
         let lbbuf = Array.copy base_lb and ubbuf = Array.copy base_ub in
         let process nd key =
           if key >= incumbent_key () -. 1e-9 then ()
+          else if Atomic.fetch_and_add nodes 1 >= node_limit then begin
+            Atomic.decr nodes (* budget spent: this node is not solved *);
+            Atomic.set exhausted true;
+            Atomic.set stop true
+          end
           else begin
-            let c = Atomic.fetch_and_add nodes 1 in
-            if c >= node_limit then begin
-              Atomic.set exhausted true;
-              Atomic.set stop true
-            end
-            else begin
-              Array.blit base_lb 0 lbbuf 0 n;
-              Array.blit base_ub 0 ubbuf 0 n;
-              materialize nd lbbuf ubbuf;
-              match ev.ev_solve nd ~lb:lbbuf ~ub:ubbuf with
-              | Simplex.Infeasible | Simplex.Unbounded -> ()
-              | Simplex.Limit -> Atomic.set exhausted true
-              | Simplex.Optimal { objective; values } -> (
-                let child_key = sign *. objective in
-                pseudo_update pseudo nd child_key;
-                if child_key >= incumbent_key () -. 1e-9 then ()
-                else
-                  let bvar =
-                    match engine with
-                    | Tableau -> most_fractional ~tol ~integer values
-                    | Revised -> choose_branch_pc ~tol ~integer pseudo values
+            Array.blit base_lb 0 lbbuf 0 n;
+            Array.blit base_ub 0 ubbuf 0 n;
+            materialize nd lbbuf ubbuf;
+            match node_lp lp ~deadline nd ~lb:lbbuf ~ub:ubbuf with
+            | Lp.Infeasible | Lp.Unbounded -> ()
+            | Lp.Limit ->
+              (* The LP hit its iteration cap or the deadline: the node
+                 is unresolved, not infeasible. Give up on proving
+                 optimality but never prune the subtree as if empty. *)
+              Atomic.set exhausted true
+            | Lp.Optimal { objective; values } -> (
+              let child_key = sign *. objective in
+              pseudo_update pseudo nd child_key;
+              if child_key >= incumbent_key () -. 1e-9 then ()
+              else
+                match choose_branch_pc ~tol ~integer pseudo values with
+                | -1 -> offer child_key objective values
+                | bvar ->
+                  let snap = node_snapshot lp in
+                  let d, u =
+                    make_children nd ~key:child_key ~var:bvar
+                      ~value:values.(bvar) snap
                   in
-                  match bvar with
-                  | -1 -> offer child_key objective values
-                  | bvar ->
-                    let snap = ev.ev_snap () in
-                    let d, u =
-                      make_children nd ~key:child_key ~var:bvar
-                        ~value:values.(bvar) snap
-                    in
-                    push wid child_key d;
-                    push wid child_key u)
-            end
+                  push wid child_key d;
+                  push wid child_key u)
           end
         in
         let running = ref true in
@@ -720,24 +535,3 @@ let solve_par ~node_limit ~deadline ~tol ~engine ~jobs p =
         in
         if exhausted then Feasible sol else Optimal sol
       | None -> if exhausted then Node_limit else Infeasible))
-
-(* ------------------------------------------------------------------ *)
-
-let default_engine = Revised
-
-let solve ?(node_limit = 1_000_000) ?time_limit
-    ?(integrality_tolerance = 1e-6) ?(jobs = 1) ?(engine = default_engine)
-    model =
-  let deadline =
-    match time_limit with
-    | None -> infinity
-    | Some s ->
-      if s <= 0. then invalid_arg "Branch_bound.solve: time_limit";
-      Unix.gettimeofday () +. s
-  in
-  let p = problem_of_model model in
-  let jobs = Stdlib.max 1 jobs in
-  if jobs = 1 then
-    solve_seq ~node_limit ~deadline ~tol:integrality_tolerance ~engine p
-  else
-    solve_par ~node_limit ~deadline ~tol:integrality_tolerance ~engine ~jobs p

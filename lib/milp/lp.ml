@@ -4,6 +4,10 @@ type sense = Le | Ge | Eq
 
 type objective = Minimize | Maximize
 
+type solution = { objective : float; values : float array }
+
+type result = Optimal of solution | Infeasible | Unbounded | Limit
+
 type row = { terms : (int * float) list; sense : sense; rhs : float }
 
 type t = {

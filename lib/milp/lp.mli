@@ -3,7 +3,7 @@
     This is the substrate that replaces Gurobi in the reproduction: the
     floorplanner of [3] and the IS-k baseline of [6] both need an exact
     optimizer for small models. Build a model here, then solve its
-    continuous relaxation with {!Simplex.solve} or the full MILP with
+    continuous relaxation with {!Revised.solve} or the full MILP with
     {!Branch_bound.solve}. *)
 
 type t
@@ -16,6 +16,24 @@ type var = private int
 type sense = Le | Ge | Eq
 
 type objective = Minimize | Maximize
+
+(** {1 LP results} *)
+
+type solution = {
+  objective : float;
+  values : float array;  (** one value per model variable, in index order *)
+}
+
+type result =
+  | Optimal of solution
+  | Infeasible
+  | Unbounded
+  | Limit
+      (** The iteration cap or a deadline cut the solve short: the
+          model's status is unknown. {!Branch_bound} treats this as
+          "node budget exhausted", never as an infeasibility proof. *)
+
+(** {1 Models} *)
 
 val create : ?objective:objective -> unit -> t
 (** A fresh empty model; [objective] defaults to [Minimize]. *)

@@ -1,6 +1,6 @@
 (* Revised simplex with native bounded variables.
 
-   Where {!Simplex} turns every finite upper bound into an extra tableau
+   Where a dense tableau turns every finite upper bound into an extra
    row (a model with n variables and m rows becomes an (m+n)-row
    tableau), this engine keeps bounds in the ratio test: a nonbasic
    variable sits At_lower or At_upper and can cross to the opposite
@@ -589,8 +589,7 @@ let dual t ~deadline =
 
 let solution t =
   let values = Array.sub t.x 0 t.n in
-  Simplex.Optimal
-    { Simplex.objective = t.obj_sign *. objective_value t; values }
+  Lp.Optimal { Lp.objective = t.obj_sign *. objective_value t; values }
 
 let bad_box t =
   let bad = ref false in
@@ -602,7 +601,7 @@ let bad_box t =
 let solve_fresh ?(deadline = infinity) t =
   let p0 = t.pivots in
   let result =
-    if bad_box t then Simplex.Infeasible
+    if bad_box t then Lp.Infeasible
     else begin
       for j = 0 to t.n - 1 do
         t.status.(j) <- At_lower
@@ -612,7 +611,7 @@ let solve_fresh ?(deadline = infinity) t =
         t.status.(t.n + i) <- Basic
       done;
       match refactor t with
-      | exception Basis.Singular -> Simplex.Limit (* cannot happen: B = I *)
+      | exception Basis.Singular -> Lp.Limit (* cannot happen: B = I *)
       | () -> (
         compute_primal t;
         refresh_pcost t;
@@ -621,13 +620,13 @@ let solve_fresh ?(deadline = infinity) t =
           else primal t ~phase1:true ~deadline
         in
         match feasible with
-        | `Infeasible -> Simplex.Infeasible
-        | `Limit | `Unbounded | `Optimal -> Simplex.Limit
+        | `Infeasible -> Lp.Infeasible
+        | `Limit | `Unbounded | `Optimal -> Lp.Limit
         | `Feasible -> (
           match primal t ~phase1:false ~deadline with
           | `Optimal -> solution t
-          | `Unbounded -> Simplex.Unbounded
-          | `Limit | `Feasible | `Infeasible -> Simplex.Limit))
+          | `Unbounded -> Lp.Unbounded
+          | `Limit | `Feasible | `Infeasible -> Lp.Limit))
     end
   in
   t.last_pivots <- t.pivots - p0;
@@ -639,14 +638,14 @@ let solve_fresh ?(deadline = infinity) t =
    independently of the warm start's dual-feasibility assumption. *)
 let solve_warm ?(deadline = infinity) t =
   if not t.factored then solve_fresh ~deadline t
-  else if bad_box t then Simplex.Infeasible
+  else if bad_box t then Lp.Infeasible
   else begin
     let p0 = t.pivots in
     compute_primal t;
     match dual t ~deadline with
     | `Infeasible ->
       t.last_pivots <- t.pivots - p0;
-      Simplex.Infeasible
+      Lp.Infeasible
     | `Limit ->
       t.last_pivots <- t.pivots - p0;
       solve_fresh ~deadline t
@@ -657,14 +656,14 @@ let solve_warm ?(deadline = infinity) t =
         solution t
       | `Unbounded ->
         t.last_pivots <- t.pivots - p0;
-        Simplex.Unbounded
+        Lp.Unbounded
       | `Limit | `Feasible | `Infeasible ->
         t.last_pivots <- t.pivots - p0;
         solve_fresh ~deadline t)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Drop-in entry points mirroring {!Simplex}                           *)
+(* One-shot entry points                                              *)
 
 let solve_with_bounds ?deadline model ~lb ~ub =
   let n = Lp.num_vars model in

@@ -1,14 +1,14 @@
 (** Bounded-variable revised simplex over an LU-factorized basis.
 
-    The default LP engine behind {!Branch_bound}. Unlike {!Simplex} it
-    never adds rows for finite upper bounds — a nonbasic variable sits
-    at either bound and crosses to the other one via a bound flip in the
-    ratio test — so the basis stays [m x m] for an [m]-row model, and it
-    supports warm starts: after a single bound change the previous
-    optimal basis is still dual feasible, and {!solve_warm} reaches the
-    new optimum in a few dual-simplex pivots instead of a full two-phase
-    solve. Results use {!Simplex.result} so callers can switch engines
-    without re-matching. *)
+    The LP engine behind {!Branch_bound}. It never adds rows for finite
+    upper bounds — a nonbasic variable sits at either bound and crosses
+    to the other one via a bound flip in the ratio test — so the basis
+    stays [m x m] for an [m]-row model, and it supports warm starts:
+    after a single bound change the previous optimal basis is still dual
+    feasible, and {!solve_warm} reaches the new optimum in a few
+    dual-simplex pivots instead of a full two-phase solve. Results are
+    {!Lp.result}s. The test suites check it against a dense two-phase
+    tableau kept with the tests as the LP oracle. *)
 
 type t
 (** Mutable solver state: model data (shared, immutable) plus bounds,
@@ -28,8 +28,9 @@ val make :
   rows:((int * float) list * Lp.sense * float) array ->
   unit ->
   t
-(** Build solver state from raw arrays (same shape as
-    [Simplex.solve_arrays]). Every variable needs a finite lower bound.
+(** Build solver state from raw arrays (one entry per structural
+    variable; rows as {!Lp.rows} returns them). Every variable needs a
+    finite lower bound.
     [refactor_every] bounds the eta file length (default 48). *)
 
 val of_model : Lp.t -> t
@@ -49,12 +50,12 @@ val load_basis : t -> snapshot -> bool
 (** Restore a snapshot and refactorize; [false] if the snapshot's basis
     is singular under the current bounds (caller should {!solve_fresh}). *)
 
-val solve_fresh : ?deadline:float -> t -> Simplex.result
+val solve_fresh : ?deadline:float -> t -> Lp.result
 (** Two-phase primal solve from the all-logical basis, ignoring any
     previous state. [deadline] is an absolute [Unix.gettimeofday]
     instant; hitting it (or the iteration cap) yields [Limit]. *)
 
-val solve_warm : ?deadline:float -> t -> Simplex.result
+val solve_warm : ?deadline:float -> t -> Lp.result
 (** Re-solve after bound changes, starting from the current basis: dual
     simplex to primal feasibility, then a certifying primal cleanup.
     Falls back to {!solve_fresh} when the warm start stalls, and behaves
@@ -65,10 +66,12 @@ val last_pivots : t -> int
 
 val num_vars : t -> int
 
-val solve : Lp.t -> Simplex.result
-(** One-shot convenience mirroring [Simplex.solve]. *)
+val solve : Lp.t -> Lp.result
+(** Solve a model's continuous relaxation from scratch (integrality
+    markers are ignored). *)
 
 val solve_with_bounds :
   ?deadline:float -> Lp.t -> lb:float array -> ub:float array ->
-  Simplex.result
-(** One-shot convenience mirroring [Simplex.solve_with_bounds]. *)
+  Lp.result
+(** Like {!solve} but overriding every variable's bounds (arrays of
+    length [Lp.num_vars]). *)

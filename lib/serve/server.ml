@@ -447,9 +447,21 @@ let metrics t =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 
+(* A path names a file the daemon reads on the client's behalf, so its
+   rejection carries the path and the line but no text from the file:
+   the parser's own message quotes the offending token. *)
 let load_instance = function
   | Protocol.Inline s -> Io.of_string s
-  | Protocol.Path p -> Io.load p
+  | Protocol.Path p -> (
+    match In_channel.with_open_text p In_channel.input_all with
+    | exception Sys_error msg -> Error msg
+    | text ->
+      Result.map_error
+        (fun e ->
+          match Scanf.sscanf_opt e "line %d:" Fun.id with
+          | Some line -> Printf.sprintf "%s: line %d: not a valid instance" p line
+          | None -> p ^ ": not a valid instance")
+        (Io.of_string text))
 
 let reject t ~via ~id ~reason ~depth =
   deliver t ~via (Protocol.Rejected { id; reason; queue_depth = depth })

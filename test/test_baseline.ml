@@ -290,8 +290,12 @@ let test_ilp_matches_optimal () =
     [ (1, 2); (2, 2); (1, 3); (2, 3); (3, 3); (1, 4); (2, 4) ]
 
 let test_ilp_model_grows () =
-  let v2, c2 = Ilp_exact.model_size (tiny_instance 1 2) in
-  let v5, c5 = Ilp_exact.model_size (tiny_instance 1 5) in
+  let size tasks =
+    let m, _ = Ilp_exact.formulate (tiny_instance 1 tasks) in
+    (Resched_milp.Lp.num_vars m, Resched_milp.Lp.num_constraints m)
+  in
+  let v2, c2 = size 2 in
+  let v5, c5 = size 5 in
   Alcotest.(check bool) "variables grow" true (v5 > v2);
   Alcotest.(check bool) "constraints grow superlinearly" true
     (c5 > 3 * c2)

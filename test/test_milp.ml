@@ -1,19 +1,46 @@
 (* Tests for the LP/MILP substrate: known optima, degenerate cases and
-   randomized properties that cross-check the simplex against certificates
-   of feasibility. *)
+   randomized properties that cross-check the LP engines against
+   certificates of feasibility. Every LP case runs on the production
+   revised simplex and on the reference dense tableau. *)
 
 module Lp = Resched_milp.Lp
-module Simplex = Resched_milp.Simplex
+module Revised = Resched_milp.Revised
+module Simplex = Resched_reference.Simplex
 module Branch_bound = Resched_milp.Branch_bound
 module Rng = Resched_util.Rng
 
 let check_float = Alcotest.(check (float 1e-6))
 
-let opt_exn = function
-  | Simplex.Optimal s -> s
-  | Simplex.Infeasible -> Alcotest.fail "expected Optimal, got Infeasible"
-  | Simplex.Unbounded -> Alcotest.fail "expected Optimal, got Unbounded"
-  | Simplex.Limit -> Alcotest.fail "expected Optimal, got Limit"
+let lp_engines = [ ("revised", Revised.solve); ("tableau", Simplex.solve) ]
+
+(* [check engine result] for each engine's solve of [m]. *)
+let on_engines m check =
+  List.iter (fun (engine, solve) -> check engine (solve m)) lp_engines
+
+let status = function
+  | Lp.Optimal _ -> "Optimal"
+  | Lp.Infeasible -> "Infeasible"
+  | Lp.Unbounded -> "Unbounded"
+  | Lp.Limit -> "Limit"
+
+let opt_exn engine = function
+  | Lp.Optimal s -> s
+  | r -> Alcotest.failf "%s: expected Optimal, got %s" engine (status r)
+
+(* Solve [m] on every engine and check the optimum's objective and the
+   listed variable values. *)
+let check_optimum m ~objective values =
+  on_engines m (fun engine r ->
+      let s = opt_exn engine r in
+      check_float (engine ^ " objective") objective s.Lp.objective;
+      List.iter
+        (fun (i, v) ->
+          check_float (Printf.sprintf "%s x%d" engine i) v s.Lp.values.(i))
+        values)
+
+let check_status m expected =
+  on_engines m (fun engine r ->
+      Alcotest.(check string) (engine ^ " status") expected (status r))
 
 (* maximize 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36 at (2, 6).
    The classic Dantzig example. *)
@@ -24,10 +51,7 @@ let test_lp_textbook () =
   Lp.add_constraint m [ (x, 1.) ] Lp.Le 4.;
   Lp.add_constraint m [ (y, 2.) ] Lp.Le 12.;
   Lp.add_constraint m [ (x, 3.); (y, 2.) ] Lp.Le 18.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 36. s.objective;
-  check_float "x" 2. s.values.(0);
-  check_float "y" 6. s.values.(1)
+  check_optimum m ~objective:36. [ (0, 2.); (1, 6.) ]
 
 (* minimize 2x + 3y s.t. x + y >= 10, x - y <= 2, x,y >= 0.
    Optimum: push y as low as allowed: x - y <= 2 and x + y = 10 ->
@@ -38,10 +62,7 @@ let test_lp_min_with_ge () =
   let y = Lp.add_var m ~obj:3. () in
   Lp.add_constraint m [ (x, 1.); (y, 1.) ] Lp.Ge 10.;
   Lp.add_constraint m [ (x, 1.); (y, -1.) ] Lp.Le 2.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 24. s.objective;
-  check_float "x" 6. s.values.(0);
-  check_float "y" 4. s.values.(1)
+  check_optimum m ~objective:24. [ (0, 6.); (1, 4.) ]
 
 let test_lp_equality_and_bounds () =
   (* minimize x + 2y s.t. x + y = 5, 1 <= x <= 3 -> x = 3, y = 2, obj 7. *)
@@ -49,59 +70,48 @@ let test_lp_equality_and_bounds () =
   let x = Lp.add_var m ~lb:1. ~ub:3. ~obj:1. () in
   let y = Lp.add_var m ~obj:2. () in
   Lp.add_constraint m [ (x, 1.); (y, 1.) ] Lp.Eq 5.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 7. s.objective;
-  check_float "x" 3. s.values.(0);
-  check_float "y" 2. s.values.(1)
+  check_optimum m ~objective:7. [ (0, 3.); (1, 2.) ]
 
 let test_lp_infeasible () =
   let m = Lp.create () in
   let x = Lp.add_var m ~obj:1. () in
   Lp.add_constraint m [ (x, 1.) ] Lp.Le 1.;
   Lp.add_constraint m [ (x, 1.) ] Lp.Ge 2.;
-  match Simplex.solve m with
-  | Simplex.Infeasible -> ()
-  | _ -> Alcotest.fail "expected Infeasible"
+  check_status m "Infeasible"
 
 let test_lp_unbounded () =
   let m = Lp.create ~objective:Lp.Maximize () in
   let x = Lp.add_var m ~obj:1. () in
   let y = Lp.add_var m ~obj:0. () in
   Lp.add_constraint m [ (x, 1.); (y, -1.) ] Lp.Le 3.;
-  match Simplex.solve m with
-  | Simplex.Unbounded -> ()
-  | Simplex.Optimal s -> Alcotest.failf "expected Unbounded, got %g" s.objective
-  | Simplex.Infeasible -> Alcotest.fail "expected Unbounded, got Infeasible"
-  | Simplex.Limit -> Alcotest.fail "expected Unbounded, got Limit"
+  check_status m "Unbounded"
 
 let test_lp_degenerate () =
   (* A degenerate vertex (redundant constraint through the optimum) must
-     not cycle thanks to Bland's rule. maximize x + y s.t. x <= 2, y <= 2,
-     x + y <= 4 (redundant at optimum) -> 4. *)
+     not cycle: the tableau prices by Bland's rule, the revised engine
+     switches to it while the objective stalls. maximize x + y s.t.
+     x <= 2, y <= 2, x + y <= 4 (redundant at optimum) -> 4. *)
   let m = Lp.create ~objective:Lp.Maximize () in
   let x = Lp.add_var m ~obj:1. () in
   let y = Lp.add_var m ~obj:1. () in
   Lp.add_constraint m [ (x, 1.) ] Lp.Le 2.;
   Lp.add_constraint m [ (y, 1.) ] Lp.Le 2.;
   Lp.add_constraint m [ (x, 1.); (y, 1.) ] Lp.Le 4.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 4. s.objective
+  check_optimum m ~objective:4. []
 
 let test_lp_negative_rhs () =
   (* minimize x s.t. -x <= -3  (i.e. x >= 3) -> 3. *)
   let m = Lp.create () in
   let x = Lp.add_var m ~obj:1. () in
   Lp.add_constraint m [ (x, -1.) ] Lp.Le (-3.);
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 3. s.objective
+  check_optimum m ~objective:3. []
 
 let test_lp_duplicate_terms () =
   (* Terms on the same variable must be combined: x + x <= 4 -> x <= 2. *)
   let m = Lp.create ~objective:Lp.Maximize () in
   let x = Lp.add_var m ~obj:1. () in
   Lp.add_constraint m [ (x, 1.); (x, 1.) ] Lp.Le 4.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 2. s.objective
+  check_optimum m ~objective:2. []
 
 let bb_opt_exn = function
   | Branch_bound.Optimal s -> s
@@ -190,7 +200,7 @@ let test_milp_node_limit () =
   | Branch_bound.Unbounded -> Alcotest.fail "spurious Unbounded"
 
 (* Property: for random LPs constructed around a known feasible point x0
-   with constraints a.x <= a.x0 + slack, the simplex (a) declares
+   with constraints a.x <= a.x0 + slack, each LP engine (a) declares
    feasibility and (b) returns an objective no worse than c.x0. *)
 let prop_simplex_beats_witness =
   QCheck.Test.make ~count:200 ~name:"simplex objective beats witness point"
@@ -219,9 +229,12 @@ let prop_simplex_beats_witness =
         Array.iteri (fun i v -> acc := !acc +. (c.(i) *. v)) x0;
         !acc
       in
-      match Simplex.solve m with
-      | Simplex.Optimal s -> s.objective <= witness_obj +. 1e-6
-      | Simplex.Infeasible | Simplex.Unbounded | Simplex.Limit -> false)
+      List.for_all
+        (fun (_, solve) ->
+          match solve m with
+          | Lp.Optimal s -> s.Lp.objective <= witness_obj +. 1e-6
+          | Lp.Infeasible | Lp.Unbounded | Lp.Limit -> false)
+        lp_engines)
 
 (* Property: branch-and-bound on pure binary knapsacks matches a
    brute-force enumeration. *)

@@ -1,11 +1,11 @@
-(* Tests for the revised-simplex engine: the dense tableau solver acts
-   as the oracle on randomized bounded LPs and MILPs, plus unit tests
-   for the mechanisms the tableau does not have — bound flips in the
-   ratio test, LU refactorization after eta-file growth, and dual
-   warm starts after a single bound change. *)
+(* Tests for the revised-simplex engine: the reference dense tableau and
+   its branch-and-bound act as the oracle on randomized bounded LPs and
+   MILPs, plus unit tests for the mechanisms the tableau does not have —
+   bound flips in the ratio test, LU refactorization after eta-file
+   growth, and dual warm starts after a single bound change. *)
 
 module Lp = Resched_milp.Lp
-module Simplex = Resched_milp.Simplex
+module Simplex = Resched_reference.Simplex
 module Revised = Resched_milp.Revised
 module Basis = Resched_milp.Basis
 module Branch_bound = Resched_milp.Branch_bound
@@ -57,25 +57,23 @@ let prop_lp_equivalence =
       let rng = Rng.create (seed lxor 0x1ee7) in
       let m = random_model rng ~nvars ~nrows ~integer_vars:false in
       match (Simplex.solve m, Revised.solve m) with
-      | Simplex.Optimal a, Simplex.Optimal b ->
-        Float.abs (a.Simplex.objective -. b.Simplex.objective) < 1e-5
-      | Simplex.Infeasible, Simplex.Infeasible -> true
+      | Lp.Optimal a, Lp.Optimal b ->
+        Float.abs (a.Lp.objective -. b.Lp.objective) < 1e-5
+      | Lp.Infeasible, Lp.Infeasible -> true
       | _ -> false)
 
 (* And on full MILPs through the branch-and-bound (same optimum; node
-   counts may differ because branching rules differ). *)
+   counts may differ because branching rules differ: the reference
+   branches on the most fractional variable, production on
+   pseudo-costs). *)
 let prop_milp_equivalence =
   QCheck.Test.make ~count:150 ~name:"revised = tableau on random MILPs"
     QCheck.(pair int (pair (int_range 1 7) (int_range 0 5)))
     (fun (seed, (nvars, nrows)) ->
       let rng = Rng.create (seed lxor 0xb0b0) in
       let m = random_model rng ~nvars ~nrows ~integer_vars:true in
-      let tab =
-        Branch_bound.solve ~engine:Branch_bound.Tableau ~node_limit:50_000 m
-      in
-      let rev =
-        Branch_bound.solve ~engine:Branch_bound.Revised ~node_limit:50_000 m
-      in
+      let tab = Simplex.branch_bound ~node_limit:50_000 m in
+      let rev = Branch_bound.solve ~node_limit:50_000 m in
       match (tab, rev) with
       | Branch_bound.Optimal a, Branch_bound.Optimal b ->
         Float.abs (a.Branch_bound.objective -. b.Branch_bound.objective)
@@ -97,10 +95,10 @@ let test_bound_flip () =
       ()
   in
   (match Revised.solve_fresh t with
-  | Simplex.Optimal s ->
-    check_float "flip objective" 11. s.Simplex.objective;
-    check_float "x at upper" 5. s.Simplex.values.(0);
-    check_float "y at upper" 3. s.Simplex.values.(1)
+  | Lp.Optimal s ->
+    check_float "flip objective" 11. s.Lp.objective;
+    check_float "x at upper" 5. s.Lp.values.(0);
+    check_float "y at upper" 3. s.Lp.values.(1)
   | _ -> Alcotest.fail "expected Optimal");
   Alcotest.(check int) "no pivots, only flips" 0 (Revised.last_pivots t)
 
@@ -113,7 +111,7 @@ let test_bound_flip_blocked () =
       ()
   in
   (match Revised.solve_fresh t with
-  | Simplex.Optimal s -> check_float "blocked at row" 4. s.Simplex.objective
+  | Lp.Optimal s -> check_float "blocked at row" 4. s.Lp.objective
   | _ -> Alcotest.fail "expected Optimal");
   Alcotest.(check bool) "one real pivot" true (Revised.last_pivots t >= 1)
 
@@ -199,10 +197,10 @@ let test_solver_with_tiny_eta_file () =
         ~rows:(Lp.rows m) ()
     in
     match (Revised.solve_fresh t1, Revised.solve_fresh t2) with
-    | Simplex.Optimal a, Simplex.Optimal b ->
-      check_float "tiny eta file same optimum" a.Simplex.objective
-        b.Simplex.objective
-    | Simplex.Infeasible, Simplex.Infeasible -> ()
+    | Lp.Optimal a, Lp.Optimal b ->
+      check_float "tiny eta file same optimum" a.Lp.objective
+        b.Lp.objective
+    | Lp.Infeasible, Lp.Infeasible -> ()
     | _ -> Alcotest.fail "status mismatch with refactor_every = 1"
   done
 
@@ -234,18 +232,18 @@ let test_warm_start_single_bound_change () =
   let t = Revised.of_model m in
   let cold =
     match Revised.solve_fresh t with
-    | Simplex.Optimal s -> s
+    | Lp.Optimal s -> s
     | _ -> Alcotest.fail "root solve failed"
   in
   let cold_pivots = Revised.last_pivots t in
   Alcotest.(check bool) "cold solve pivots" true (cold_pivots > 0);
   (* Child: x0 <= floor(x0_root) - style bound tightening. *)
   let lb = Lp.lb_array m and ub = Lp.ub_array m in
-  ub.(0) <- Float.max lb.(0) (Float.floor (cold.Simplex.values.(0) /. 2.));
+  ub.(0) <- Float.max lb.(0) (Float.floor (cold.Lp.values.(0) /. 2.));
   Revised.set_bounds t ~lb ~ub;
   let warm =
     match Revised.solve_warm t with
-    | Simplex.Optimal s -> s
+    | Lp.Optimal s -> s
     | _ -> Alcotest.fail "warm solve failed"
   in
   let warm_pivots = Revised.last_pivots t in
@@ -253,9 +251,9 @@ let test_warm_start_single_bound_change () =
   let t2 = Revised.of_model m in
   Revised.set_bounds t2 ~lb ~ub;
   (match Revised.solve_fresh t2 with
-  | Simplex.Optimal s ->
-    check_float "warm = fresh on child" s.Simplex.objective
-      warm.Simplex.objective
+  | Lp.Optimal s ->
+    check_float "warm = fresh on child" s.Lp.objective
+      warm.Lp.objective
   | _ -> Alcotest.fail "child fresh solve failed");
   Alcotest.(check bool)
     (Printf.sprintf "warm pivots (%d) < cold pivots (%d)" warm_pivots
@@ -272,7 +270,7 @@ let test_snapshot_roundtrip () =
   let t = Revised.of_model m in
   let obj0 =
     match Revised.solve_fresh t with
-    | Simplex.Optimal s -> s.Simplex.objective
+    | Lp.Optimal s -> s.Lp.objective
     | _ -> Alcotest.fail "solve failed"
   in
   let snap = Revised.save_basis t in
@@ -284,7 +282,7 @@ let test_snapshot_roundtrip () =
   Revised.set_bounds t ~lb:(Lp.lb_array m) ~ub:(Lp.ub_array m);
   Alcotest.(check bool) "snapshot loads" true (Revised.load_basis t snap);
   match Revised.solve_warm t with
-  | Simplex.Optimal s -> check_float "restored optimum" obj0 s.Simplex.objective
+  | Lp.Optimal s -> check_float "restored optimum" obj0 s.Lp.objective
   | _ -> Alcotest.fail "restored solve failed"
 
 (* ------------------------------------------------------------------ *)
@@ -316,14 +314,19 @@ let solution_exn = function
   | Branch_bound.Optimal s -> s
   | _ -> Alcotest.fail "expected Optimal"
 
+(* The production search at one worker, and the reference. *)
+let sequential_solvers ?time_limit () =
+  [ (fun m -> Branch_bound.solve ?time_limit ~jobs:1 m);
+    (fun m -> Simplex.branch_bound ?time_limit m) ]
+
 let test_jobs1_determinism () =
   (* Two identical sequential runs must visit the same node count and
-     produce the same incumbent, for both engines. *)
+     produce the same incumbent, for both solvers. *)
   List.iter
-    (fun engine ->
+    (fun solve ->
       let m = hard_knapsack 4242 in
-      let a = solution_exn (Branch_bound.solve ~engine ~jobs:1 m) in
-      let b = solution_exn (Branch_bound.solve ~engine ~jobs:1 m) in
+      let a = solution_exn (solve m) in
+      let b = solution_exn (solve m) in
       Alcotest.(check int) "same node count" a.Branch_bound.nodes
         b.Branch_bound.nodes;
       check_float "same objective" a.Branch_bound.objective
@@ -331,7 +334,7 @@ let test_jobs1_determinism () =
       Array.iteri
         (fun i v -> check_float "same values" v b.Branch_bound.values.(i))
         a.Branch_bound.values)
-    [ Branch_bound.Revised; Branch_bound.Tableau ]
+    (sequential_solvers ())
 
 let test_parallel_same_incumbent () =
   (* jobs > 1 explores in nondeterministic order but must reach the same
@@ -350,14 +353,14 @@ let test_limit_not_infeasible () =
      this engine revision fixed: Iteration_limit used to masquerade as
      phase-1/phase-2 infeasibility and silently prune subtrees). *)
   List.iter
-    (fun engine ->
+    (fun solve ->
       let m = hard_knapsack 7 in
-      match Branch_bound.solve ~engine ~time_limit:1e-9 m with
+      match solve m with
       | Branch_bound.Infeasible -> Alcotest.fail "Limit leaked as Infeasible"
       | Branch_bound.Node_limit | Branch_bound.Feasible _
       | Branch_bound.Optimal _ | Branch_bound.Unbounded ->
         ())
-    [ Branch_bound.Revised; Branch_bound.Tableau ]
+    (sequential_solvers ~time_limit:1e-9 ())
 
 let () =
   Alcotest.run "milp-revised"

@@ -904,12 +904,14 @@ let test_transport_framing_guards () =
     | _ -> None);
   Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays))
 
-(* An inline instance [Io] rejects must not wedge the event loop: it
-   gets a [Failed] response (status "error" on the wire) at admission —
-   no attempt made, nothing retried — whose message starts with
-   [message], the parse error is counted, and the connection keeps
-   serving the requests behind it, down to the shutdown ack. *)
-let check_instance_rejected ~instance ~message:prefix =
+(* An instance [Io] rejects must not wedge the event loop: it gets a
+   [Failed] response (status "error" on the wire) at admission — no
+   attempt made, nothing retried — whose message starts with [message],
+   the parse error is counted, and the connection keeps serving the
+   requests behind it, down to the shutdown ack. [field] is the request
+   field carrying [instance] ("instance" for inline text, "path" for a
+   file). Returns the message. *)
+let check_instance_rejected ?(field = "instance") ~instance ~message:prefix () =
   let sim = make_tsim (Server.config ~capacity:4 ()) in
   let c = add_client sim in
   send c
@@ -919,7 +921,7 @@ let check_instance_rejected ~instance ~message:prefix =
              [
                ("op", Json.String "schedule");
                ("id", Json.String "bad");
-               ("instance", Json.String instance);
+               (field, Json.String instance);
              ])));
   send c {|{"op": "metrics", "id": "m"}|};
   send c {|{"op": "shutdown", "id": "q"}|};
@@ -927,14 +929,15 @@ let check_instance_rejected ~instance ~message:prefix =
   poll_until sim ~what:"every line answered" (fun () ->
       collected := !collected @ recv c;
       List.length !collected >= 3);
+  let message = ref "" in
   (match List.map response_of_line !collected with
   | [ (bad_id, bad_status, bad); (m_id, m_status, m); (q_id, q_status, _) ] ->
     Alcotest.(check (pair string string)) "bad instance answered"
       ("bad", "error") (bad_id, bad_status);
-    let message =
+    message :=
       Option.value ~default:""
-        (Option.bind (Json.member "message" bad) Json.get_string)
-    in
+        (Option.bind (Json.member "message" bad) Json.get_string);
+    let message = !message in
     Alcotest.(check bool)
       (Printf.sprintf "message %S starts with %S" message prefix)
       true
@@ -953,25 +956,52 @@ let check_instance_rejected ~instance ~message:prefix =
   | _ ->
     Alcotest.failf "expected three responses, got %d"
       (List.length !collected));
-  Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays))
+  Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays));
+  !message
 
 (* A value the platform constructors reject: a negative task time. *)
 let test_transport_malformed_instance () =
-  check_instance_rejected
-    ~instance:
-      "arch processors 1 recfreq 3200 device minifab\ntasks 1\ntask 0\n\
-       impl sw time -5\n"
-    ~message:"instance: line 4: "
+  ignore
+    (check_instance_rejected
+       ~instance:
+         "arch processors 1 recfreq 3200 device minifab\ntasks 1\ntask 0\n\
+          impl sw time -5\n"
+       ~message:"instance: line 4: " ())
+
+(* A path may name any file the daemon can read. Rejecting one that is
+   not an instance names the path and the line, and quotes nothing from
+   the file: a parser message would echo its first token. *)
+let test_transport_path_not_echoed () =
+  let marker = "marker-7f3a91c" in
+  let path = Filename.temp_file "resched_serve" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          Printf.fprintf oc "%s is the first token\nmore text\n" marker);
+      let message =
+        check_instance_rejected ~field:"path" ~instance:path
+          ~message:(Printf.sprintf "instance: %s: line 1: " path) ()
+      in
+      let n = String.length marker in
+      let rec quotes_file i =
+        i + n <= String.length message
+        && (String.sub message i n = marker || quotes_file (i + 1))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "message %S quotes no file text" message)
+        false (quotes_file 0))
 
 (* A dependency cycle is an input error, not a transient failure: it is
    answered at admission and never reaches a worker or its retries. *)
 let test_transport_cyclic_instance () =
-  check_instance_rejected
-    ~instance:
-      "arch processors 1 recfreq 3200 device minifab\ntasks 3\n\
-       task 0\nimpl sw time 5\ntask 1\nimpl sw time 5\n\
-       task 2\nimpl sw time 5\nedge 0 1\nedge 1 2\nedge 1 0\n"
-    ~message:"instance: dependency cycle through tasks 1 -> 0 -> 1"
+  ignore
+    (check_instance_rejected
+       ~instance:
+         "arch processors 1 recfreq 3200 device minifab\ntasks 3\n\
+          task 0\nimpl sw time 5\ntask 1\nimpl sw time 5\n\
+          task 2\nimpl sw time 5\nedge 0 1\nedge 1 2\nedge 1 0\n"
+       ~message:"instance: dependency cycle through tasks 1 -> 0 -> 1" ())
 
 (* The DRR quantum is honored: with quantum 2 the rotation serves two
    per source before moving on; with the default 1 it alternates. *)
@@ -1066,5 +1096,7 @@ let () =
             test_transport_malformed_instance;
           Alcotest.test_case "cyclic instance answered at admission" `Quick
             test_transport_cyclic_instance;
+          Alcotest.test_case "path rejection quotes no file text" `Quick
+            test_transport_path_not_echoed;
         ] );
     ]
